@@ -16,6 +16,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from .exact import exact_skewness
 from .generate import GeneratorSpec
@@ -98,8 +99,13 @@ def run_cell(
     seed: int,
     time_limit_ms: float | None,
     restarts: int,
+    on_size: Callable[[int, int], None] | None = None,
 ) -> BenchmarkRecord:
-    """Run one (instance, algorithm, seed) cell in-process."""
+    """Run one (instance, algorithm, seed) cell in-process.
+
+    `on_size(n, m)` is called once the instance is loaded, before the
+    algorithm starts.
+    """
     try:
         g = ref.load()
     except Exception:
@@ -107,6 +113,8 @@ def run_cell(
             ref.instance_id, ref.set_label, 0, 0, algorithm, seed, 0, 0.0, 0.0, "error"
         )
     n, m = g.vertex_count, len(g.edges)
+    if on_size is not None:
+        on_size(n, m)
     try:
         if algorithm == "exact":
             limit = time_limit_ms if time_limit_ms is not None else 60_000.0
@@ -148,7 +156,10 @@ def run_cell(
 
 
 def _cell_worker(conn, ref, algorithm, seed, time_limit_ms, restarts) -> None:
-    record = run_cell(ref, algorithm, seed, time_limit_ms, restarts)
+    # The size goes first, so a cell killed later still reports its n and m.
+    record = run_cell(
+        ref, algorithm, seed, time_limit_ms, restarts, lambda n, m: conn.send((n, m))
+    )
     conn.send(record)
     conn.close()
 
@@ -168,7 +179,7 @@ def run_suite(config: SuiteConfig) -> list[BenchmarkRecord]:
     workers = config.worker_count()
     ctx = mp.get_context("fork")
     pending = list(reversed(cells))
-    running: list[tuple] = []  # (process, conn, deadline, cell, started)
+    running: list[list] = []  # [process, conn, deadline, cell, started, (n, m)]
     limit_s = config.time_limit_ms / 1000.0 if config.time_limit_ms else None
 
     def start(cell):
@@ -191,7 +202,13 @@ def run_suite(config: SuiteConfig) -> list[BenchmarkRecord]:
             # Kill within 2x the limit; the floor absorbs process startup,
             # which dominates for sub-second limits.
             deadline = now + max(limit_s * 1.5, limit_s + 0.2)
-        running.append([proc, parent, deadline, cell, now])
+        running.append([proc, parent, deadline, cell, now, (0, 0)])
+
+    def failed(entry, status: str, ms: float = 0.0) -> BenchmarkRecord:
+        (ref, algo, seed), (n, m) = entry[3], entry[5]
+        return BenchmarkRecord(
+            ref.instance_id, ref.set_label, n, m, algo, seed, 0, 0.0, ms, status
+        )
 
     while pending or running:
         while pending and len(running) < workers:
@@ -199,41 +216,32 @@ def run_suite(config: SuiteConfig) -> list[BenchmarkRecord]:
         time.sleep(0.005)
         still = []
         for entry in running:
-            proc, conn, deadline, cell, started = entry
-            ref, algo, seed = cell
-            if conn.poll():
-                try:
-                    rec = conn.recv()
-                except EOFError:
-                    rec = None
+            proc, conn, deadline, _, started, _ = entry
+            # Read liveness first: a worker that has exited has written
+            # everything it will write, so the drain below sees its record.
+            alive = proc.is_alive()
+            rec = None
+            try:
+                while rec is None and conn.poll():
+                    msg = conn.recv()
+                    if isinstance(msg, BenchmarkRecord):
+                        rec = msg
+                    else:
+                        entry[5] = msg
+            except EOFError:  # the worker closed the pipe without a record
+                alive = False
+            if rec is not None or not alive:
                 proc.join()
                 conn.close()
-                if rec is None:
-                    rec = BenchmarkRecord(
-                        ref.instance_id, ref.set_label, 0, 0, algo, seed,
-                        0, 0.0, 0.0, "error",
-                    )
+                if rec is None:  # SIGKILL is what the kernel's OOM killer sends
+                    rec = failed(entry, "memory" if proc.exitcode == -9 else "error")
                 records.append(rec)
-            elif not proc.is_alive():
-                proc.join()
-                conn.close()
-                records.append(
-                    BenchmarkRecord(
-                        ref.instance_id, ref.set_label, 0, 0, algo, seed,
-                        0, 0.0, 0.0, "memory" if proc.exitcode == -9 else "error",
-                    )
-                )
             elif deadline is not None and time.monotonic() > deadline:
                 proc.terminate()
                 proc.join()
                 conn.close()
                 elapsed = (time.monotonic() - started) * 1000.0
-                records.append(
-                    BenchmarkRecord(
-                        ref.instance_id, ref.set_label, 0, 0, algo, seed,
-                        0, 0.0, elapsed, "timeout",
-                    )
-                )
+                records.append(failed(entry, "timeout", elapsed))
             else:
                 still.append(entry)
                 continue

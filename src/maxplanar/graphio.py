@@ -5,7 +5,8 @@ Two formats:
     line, 0-indexed.  Writing then reading is byte-exact.
   * gml_subset (.gml): graph [ node [ id ... ] edge [ source ... target ... ] ]
     blocks; ids may be arbitrary integers and are mapped to 0..n-1 in file
-    order.
+    order.  Other keys, quoted strings and nested [ ... ] lists inside node
+    and edge blocks are skipped.
 
 Loops and parallel edges are parse errors (with the offending line), never
 silently simplified.
@@ -13,6 +14,7 @@ silently simplified.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 from .graph import EdgeSet, Graph
@@ -85,25 +87,33 @@ def _read_edge_list(path: str | Path) -> Graph:
     return Graph(n, tuple(edges))
 
 
+# A quoted string, a bracket, or a bare word; a lone quote is unterminated.
+_GML_TOKEN = re.compile(r'"[^"]*"|\[|\]|[^\s\[\]"]+|"')
+
+
 def _read_gml(path: str | Path) -> Graph:
     text = Path(path).read_text()
     # Tokenize, remembering the line of each token for error messages.
     tokens: list[tuple[str, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        for tok in raw.replace("[", " [ ").replace("]", " ] ").split():
-            tokens.append((tok, lineno))
+    line, last = 1, 0
+    for m in _GML_TOKEN.finditer(text):
+        line += text.count("\n", last, m.start())
+        last = m.start()
+        if m.group() == '"':
+            raise ParseError(path, line, "unterminated string")
+        tokens.append((m.group(), line))
 
     ids_in_order: list[int] = []
     id_to_index: dict[int, int] = {}
     edges: list[tuple[int, int]] = []
     seen: dict[tuple[int, int], int] = {}
 
-    def read_int(i: int, what: str) -> tuple[int, int]:
-        if i >= len(tokens):
-            raise ParseError(path, tokens[-1][1] if tokens else 1, f"missing {what}")
-        tok, line = tokens[i]
+    def read_int(values: dict[str, int], key: str, what: str) -> int | None:
+        if key not in values:
+            return None
+        tok, line = tokens[values[key]]
         try:
-            return int(tok), i + 1
+            return int(tok)
         except ValueError:
             raise ParseError(path, line, f"expected integer {what}, got {tok!r}")
 
@@ -112,31 +122,18 @@ def _read_gml(path: str | Path) -> Graph:
         tok, line = tokens[i]
         low = tok.lower()
         if low == "node":
-            j = _expect(path, tokens, i + 1, "[")
-            node_id = None
-            while j < len(tokens) and tokens[j][0] != "]":
-                if tokens[j][0].lower() == "id":
-                    node_id, j = read_int(j + 1, "node id")
-                else:
-                    j += 1
+            values, i = _read_block(path, tokens, _expect(path, tokens, i + 1, "["))
+            node_id = read_int(values, "id", "node id")
             if node_id is None:
                 raise ParseError(path, line, "node block without id")
             if node_id in id_to_index:
                 raise ParseError(path, line, f"duplicate node id {node_id}")
             id_to_index[node_id] = len(ids_in_order)
             ids_in_order.append(node_id)
-            i = j + 1
         elif low == "edge":
-            j = _expect(path, tokens, i + 1, "[")
-            src = tgt = None
-            while j < len(tokens) and tokens[j][0] != "]":
-                key = tokens[j][0].lower()
-                if key == "source":
-                    src, j = read_int(j + 1, "edge source")
-                elif key == "target":
-                    tgt, j = read_int(j + 1, "edge target")
-                else:
-                    j += 1
+            values, i = _read_block(path, tokens, _expect(path, tokens, i + 1, "["))
+            src = read_int(values, "source", "edge source")
+            tgt = read_int(values, "target", "edge target")
             if src is None or tgt is None:
                 raise ParseError(path, line, "edge block needs source and target")
             if src not in id_to_index or tgt not in id_to_index:
@@ -149,10 +146,38 @@ def _read_gml(path: str | Path) -> Graph:
                 raise ParseError(path, line, f"duplicate edge between ids {src} and {tgt}")
             seen[key2] = line
             edges.append((a, b))
-            i = j + 1
         else:
             i += 1
     return Graph(len(ids_in_order), tuple(edges))
+
+
+def _read_block(
+    path: str | Path, tokens: list[tuple[str, int]], i: int
+) -> tuple[dict[str, int], int]:
+    """Key/value pairs of the block whose body starts at token i.
+
+    Returns {lowercased key: token index of its value} for the block's own
+    scalar values (nested [ ... ] lists are skipped), and the index after the
+    closing bracket.
+    """
+    values: dict[str, int] = {}
+    while i < len(tokens) and tokens[i][0] != "]":
+        key = tokens[i][0]
+        if i + 1 >= len(tokens) or tokens[i + 1][0] == "]":
+            raise ParseError(path, tokens[i][1], f"key {key!r} has no value")
+        if tokens[i + 1][0] == "[":
+            depth, i = 1, i + 2
+            while i < len(tokens) and depth:
+                depth += {"[": 1, "]": -1}.get(tokens[i][0], 0)
+                i += 1
+            if depth:
+                break
+        else:
+            values[key.lower()] = i + 1
+            i += 2
+    if i >= len(tokens):
+        raise ParseError(path, tokens[-1][1], "unclosed [ block")
+    return values, i + 1
 
 
 def _expect(path: str | Path, tokens: list[tuple[str, int]], i: int, want: str) -> int:

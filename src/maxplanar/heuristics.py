@@ -37,7 +37,6 @@ class CactusForest:
 
     triangles: list[tuple[int, int, int]] = field(default_factory=list)
     connector_edges: EdgeSet = frozenset()
-    components: DisjointSets | None = None
     triangle_edges: EdgeSet = frozenset()
 
 
@@ -222,7 +221,6 @@ def build_cactus(g: Graph, seed: int) -> CactusForest:
     return CactusForest(
         triangles=triangles,
         connector_edges=frozenset(connectors),
-        components=ds,
         triangle_edges=frozenset(tri_edges),
     )
 

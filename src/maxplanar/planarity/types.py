@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from ..graph import EdgeSet, Graph
@@ -28,32 +29,49 @@ class Embedding:
     def faces(self, g: Graph) -> list[list[tuple[int, int]]]:
         """Faces as cyclic lists of directed arcs (tail vertex, edge id).
 
-        The successor of arc (u, e) with head w is the edge after e in w's
-        rotation, leaving w.  Every directed arc lies on exactly one face.
+        Faces are ordered by their least arc, where arcs are ordered by (tail
+        vertex, index in the tail's rotation), and each list starts there.
         """
-        pos: list[dict[int, int]] = [
-            {e: i for i, e in enumerate(rot)} for rot in self.rotations
-        ]
-        faces: list[list[tuple[int, int]]] = []
-        seen: set[tuple[int, int]] = set()
-        for v in range(g.vertex_count):
-            for e in self.rotations[v]:
-                arc = (v, e)
-                if arc in seen:
-                    continue
-                face: list[tuple[int, int]] = []
-                cur = arc
-                while cur not in seen:
-                    seen.add(cur)
-                    face.append(cur)
-                    tail, eid = cur
-                    a, b = g.edges[eid]
-                    head = b if tail == a else a
-                    rot = self.rotations[head]
-                    nxt = rot[(pos[head][eid] + 1) % len(rot)]
-                    cur = (head, nxt)
-                faces.append(face)
-        return faces
+        rots = self.rotations
+        arcs = [(v, e) for v in range(g.vertex_count) for e in rots[v]]
+        return trace_faces(rots, rotation_positions(rots), g.edges, arcs)
+
+
+def rotation_positions(rotations: Sequence[Sequence[int]]) -> list[dict[int, int]]:
+    """Per vertex: edge id -> index of the edge in the vertex's rotation."""
+    return [{e: i for i, e in enumerate(rot)} for rot in rotations]
+
+
+def trace_faces(
+    rotations: Sequence[Sequence[int]],
+    pos: list[dict[int, int]],
+    edges: Sequence[tuple[int, int]],
+    starts: Iterable[tuple[int, int]],
+) -> list[list[tuple[int, int]]]:
+    """Faces through the arcs `starts` of a rotation system, one per face.
+
+    The successor of arc (u, e) with head w is the edge after e in w's
+    rotation, leaving w; every directed arc lies on exactly one face.  Each
+    face is listed once, in the order of its first arc in `starts`, as the
+    cyclic arc list beginning at that arc.  `pos` is rotation_positions().
+    """
+    faces: list[list[tuple[int, int]]] = []
+    seen: set[tuple[int, int]] = set()
+    for arc in starts:
+        if arc in seen:
+            continue
+        face: list[tuple[int, int]] = []
+        cur = arc
+        while cur not in seen:
+            seen.add(cur)
+            face.append(cur)
+            tail, eid = cur
+            a, b = edges[eid]
+            head = b if tail == a else a
+            rot = rotations[head]
+            cur = (head, rot[(pos[head][eid] + 1) % len(rot)])
+        faces.append(face)
+    return faces
 
 
 @dataclass(frozen=True)

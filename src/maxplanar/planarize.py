@@ -16,10 +16,15 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .graph import EdgeSet, Graph
+from .graph import DisjointSets, EdgeSet, Graph
 from .heuristics import SubgraphResult
 from .planarity._lr import lr_embedding
-from .planarity.types import Embedding, NonPlanarStartError
+from .planarity.types import (
+    Embedding,
+    NonPlanarStartError,
+    rotation_positions,
+    trace_faces,
+)
 
 
 @dataclass(frozen=True)
@@ -58,51 +63,82 @@ def crossings(p: PlanarizedGraph) -> int:
     return p.dummy_count
 
 
-def _trace_faces(
-    rotations: list[list[int]], host_edges: list[tuple[int, int]]
-) -> tuple[
-    list[list[tuple[int, int]]],
-    dict[tuple[int, int], int],
-    dict[tuple[int, int], int],
-    dict[int, list[int]],
-]:
-    """Faces of a rotation system.
+def _arc_key(pos: list[dict[int, int]], arc: tuple[int, int]) -> tuple[int, int]:
+    """Canonical arc order: (tail, index of the edge in the tail's rotation)."""
+    tail, eid = arc
+    return (tail, pos[tail][eid])
 
-    Returns (faces, arc_face, corner, vertex_faces):
-      faces[fid]      -- cyclic arc list [(tail, host edge id), ...]
-      arc_face        -- (tail, hid) -> fid
-      corner          -- (fid, vertex) -> index in the vertex's rotation where
-                         a new edge entering that face corner is inserted
-      vertex_faces    -- vertex -> face ids incident to it (first-seen order)
+
+def _trace_faces(
+    starts: list[tuple[int, int]],
+    rotations: list[list[int]],
+    pos: list[dict[int, int]],
+    host_edges: list[tuple[int, int]],
+    faces: list[list[tuple[int, int]]],
+    arc_face: dict[tuple[int, int], int],
+    free: list[int],
+) -> None:
+    """Trace the faces through `starts` into faces / arc_face.
+
+    Each face is stored rotated to begin at its least arc (_arc_key) and
+    takes an id from `free` if there is one.  Routing reads faces only
+    through that arc order, so faces kept across insertions route like a
+    fresh trace: an insertion shifts a vertex's arc indices, never their order.
     """
-    pos: list[dict[int, int]] = [
-        {e: i for i, e in enumerate(rot)} for rot in rotations
-    ]
-    faces: list[list[tuple[int, int]]] = []
-    arc_face: dict[tuple[int, int], int] = {}
-    corner: dict[tuple[int, int], int] = {}
-    vertex_faces: dict[int, list[int]] = {}
-    for v0 in range(len(rotations)):
-        for e0 in rotations[v0]:
-            if (v0, e0) in arc_face:
-                continue
+    for face in trace_faces(rotations, pos, host_edges, starts):
+        i = face.index(min(face, key=lambda arc: _arc_key(pos, arc)))
+        face = face[i:] + face[:i]
+        if free:
+            fid = free.pop()
+            faces[fid] = face
+        else:
             fid = len(faces)
-            face: list[tuple[int, int]] = []
-            cur = (v0, e0)
-            while cur not in arc_face:
-                arc_face[cur] = fid
-                face.append(cur)
-                tail, eid = cur
-                a, b = host_edges[eid]
-                head = b if tail == a else a
-                rot = rotations[head]
-                nxt_idx = (pos[head][eid] + 1) % len(rot)
-                if (fid, head) not in corner:
-                    corner[(fid, head)] = nxt_idx
-                    vertex_faces.setdefault(head, []).append(fid)
-                cur = (head, rot[nxt_idx])
             faces.append(face)
-    return faces, arc_face, corner, vertex_faces
+        for arc in face:
+            arc_face[arc] = fid
+
+
+def _route(
+    sources: list[int],
+    targets: set[int],
+    faces: list[list[tuple[int, int]]],
+    arc_face: dict[tuple[int, int], int],
+) -> tuple[list[int], list[int]]:
+    """Fewest-crossing face path from a source face to a target face.
+
+    Breadth-first search in the dual graph, sources in the given order and a
+    face's neighbours in its arc order: the path ends at the target face that
+    is discovered first.  Returns the faces on the path and the edges it
+    crosses.
+    """
+    pred: dict[int, tuple[int, int]] = {}
+    end = next((f for f in sources if f in targets), -1)
+    seen = set(sources)
+    queue = deque(sources)
+    while end < 0 and queue:
+        fid = queue.popleft()
+        face = faces[fid]
+        # The head of an arc is the tail of the next arc on its face.
+        for (_, hid), (head, _) in zip(face, face[1:] + face[:1]):
+            other = arc_face[(head, hid)]
+            if other not in seen:
+                seen.add(other)
+                pred[other] = (fid, hid)
+                if other in targets:
+                    end = other
+                    break
+                queue.append(other)
+    if end < 0:
+        raise AssertionError("routing failed inside one component")
+    path = [end]
+    crossed: list[int] = []
+    while path[-1] in pred:
+        prev_fid, via = pred[path[-1]]
+        crossed.append(via)
+        path.append(prev_fid)
+    path.reverse()
+    crossed.reverse()
+    return path, crossed
 
 
 def insert_edges_fixed(
@@ -112,8 +148,9 @@ def insert_edges_fixed(
 
     Deferred edges are processed in seed-shuffled order (edge-id order with
     shuffle=False); each is routed with the fewest crossings available in the
-    planarization as it stands, ties broken by the deterministic face
-    numbering.
+    planarization as it stands, ties broken by the canonical face order
+    (least arc first).  Faces are traced once; an insertion re-traces only
+    the faces it changes.
     """
     kept = sub.kept if isinstance(sub, SubgraphResult) else frozenset(sub)
     g.check_edge_set(kept)
@@ -126,18 +163,22 @@ def insert_edges_fixed(
 
     host_edges: list[tuple[int, int]] = list(sub_edges)
     origin: list[int] = list(kept_ids)
-    comp_parent = list(range(n))
-
-    def find(x: int) -> int:
-        root = x
-        while comp_parent[root] != root:
-            root = comp_parent[root]
-        while comp_parent[x] != root:
-            comp_parent[x], x = root, comp_parent[x]
-        return root
-
+    components = DisjointSets(n)
     for a, b in sub_edges:
-        comp_parent[find(a)] = find(b)
+        components.union(a, b)
+
+    pos = rotation_positions(rotations)
+    faces: list[list[tuple[int, int]]] = []
+    arc_face: dict[tuple[int, int], int] = {}
+    free: list[int] = []  # ids of faces that an insertion destroyed
+    all_arcs = [(x, e) for x, rot in enumerate(rotations) for e in rot]
+    _trace_faces(all_arcs, rotations, pos, host_edges, faces, arc_face, free)
+
+    def corner(fid: int, x: int) -> int:
+        """Rotation index at x where an edge entering face fid is inserted:
+        that of the first arc leaving x after the face's least arc."""
+        face = faces[fid]
+        return next(pos[x][e] for t, e in face[1:] + face[:1] if t == x)
 
     deferred = [e for e in range(len(g.edges)) if e not in kept]
     if shuffle:
@@ -147,50 +188,28 @@ def insert_edges_fixed(
     dummies = 0
     for orig_eid in deferred:
         u, v = g.edges[orig_eid]
-        if find(u) != find(v):
+        if components.union(u, v):
             # Components can always be drawn into a common face: no crossing.
+            # Appending closes the faces at the corners before u's and v's
+            # first edges into one face.
+            free += [arc_face[(x, rotations[x][0])] for x in (u, v) if rotations[x]]
             hid = len(host_edges)
             host_edges.append((u, v))
             origin.append(orig_eid)
-            rotations[u].append(hid)
-            rotations[v].append(hid)
-            comp_parent[find(u)] = find(v)
+            for x in (u, v):
+                pos[x][hid] = len(rotations[x])
+                rotations[x].append(hid)
+            _trace_faces([(u, hid)], rotations, pos, host_edges, faces, arc_face, free)
             continue
 
-        faces, arc_face, corner, vertex_faces = _trace_faces(rotations, host_edges)
-        sources = vertex_faces[u]
-        targets = set(vertex_faces[v])
-        pred: dict[int, tuple[int, int]] = {}
-        seen = set(sources)
-        queue = deque(sorted(sources))
-        end_face = -1
-        while queue:
-            fid = queue.popleft()
-            if fid in targets:
-                end_face = fid
-                break
-            for tail, hid in faces[fid]:
-                a, b = host_edges[hid]
-                head = b if tail == a else a
-                other = arc_face[(head, hid)]
-                if other != fid and other not in seen:
-                    seen.add(other)
-                    pred[other] = (fid, hid)
-                    queue.append(other)
-        if end_face < 0:
-            raise AssertionError("routing failed inside one component")
+        sources = {arc_face[(u, e)] for e in rotations[u]}
+        targets = {arc_face[(v, e)] for e in rotations[v]}
+        path_faces, crossed = _route(
+            sorted(sources, key=lambda f: _arc_key(pos, faces[f][0])), targets, faces, arc_face
+        )
 
-        path_faces = [end_face]
-        crossed: list[int] = []
-        while path_faces[-1] in pred:
-            prev_fid, via = pred[path_faces[-1]]
-            crossed.append(via)
-            path_faces.append(prev_fid)
-        path_faces.reverse()
-        crossed.reverse()
-
-        u_idx = corner[(path_faces[0], u)]
-        v_idx = corner[(path_faces[-1], v)]
+        u_idx = corner(path_faces[0], u)
+        v_idx = corner(path_faces[-1], v)
 
         # Split the crossed edges with dummies (in-place: positions in the
         # touched rotations are preserved).
@@ -209,26 +228,38 @@ def insert_edges_fixed(
             hid_b = len(host_edges)
             host_edges.append((d, bi))
             origin.append(origin[c])
-            rotations[bi][rotations[bi].index(c)] = hid_b
+            rotations[bi][pos[bi][c]] = hid_b
+            pos[bi][hid_b] = pos[bi].pop(c)
+            del arc_face[(bi, c)]
             rotations.append([])  # filled below
             points.append(d)
             toward_b.append(hid_b)
         points.append(v)
 
         seg_ids: list[int] = []
+        starts: list[tuple[int, int]] = []
         for p, q in zip(points, points[1:]):
             hid = len(host_edges)
             host_edges.append((p, q))
             origin.append(orig_eid)
             seg_ids.append(hid)
+            starts += [(p, hid), (q, hid)]
 
         # Rotations: corner inserts at the endpoints, alternating order at
         # each dummy so the two original edges cross there.
-        rotations[u].insert(u_idx, seg_ids[0])
         for i, c in enumerate(crossed):
             d = points[i + 1]
             rotations[d] = [c, seg_ids[i], toward_b[i], seg_ids[i + 1]]
-        rotations[v].insert(v_idx, seg_ids[-1])
+            pos.append({e: j for j, e in enumerate(rotations[d])})
+        for x, idx, hid in ((u, u_idx, seg_ids[0]), (v, v_idx, seg_ids[-1])):
+            rotations[x].insert(idx, hid)
+            for j in range(idx, len(rotations[x])):
+                pos[x][rotations[x][j]] = j
+
+        # The new path cuts each face on the route in two; every resulting
+        # face holds one side of one segment, and no other face changed.
+        free += path_faces
+        _trace_faces(starts, rotations, pos, host_edges, faces, arc_face, free)
 
     host = Graph(n + dummies, tuple(host_edges))
     emb = Embedding(tuple(tuple(r) for r in rotations))

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import os
+import signal
 import time
 
 import pytest
 
 from conftest import complete_graph
+from maxplanar import bench
 from maxplanar.bench import (
     BenchmarkRecord,
     CSV_HEADER,
@@ -60,6 +63,20 @@ def test_suite_timeout_enforced():
     assert records[0].status == "timeout"
     # recorded within 2x the limit (plus process startup overhead)
     assert wall < 2 * 0.3 + 0.75
+    # the killed cell keeps its instance size, so it lands in its size bucket
+    assert (records[0].n, records[0].m) == (2000, 10000)
+    groups = {row.group_key for row in aggregate(records)}
+    assert groups == {"regular:2000"}
+
+
+def test_suite_killed_worker_records_memory(monkeypatch):
+    def killed(*args, **kwargs):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(bench, "run_cell", killed)
+    config = SuiteConfig(instances=(k5_ref(),), algorithms=("bm",), seeds=(0,), workers=1)
+    (rec,) = run_suite(config)
+    assert rec.status == "memory"
 
 
 def test_suite_empty_algorithms():

@@ -71,6 +71,37 @@ def test_gml_arbitrary_ids(tmp_path):
     assert g.edges == ((0, 1),)  # ids mapped in file order
 
 
+def test_gml_skips_nested_blocks_and_strings(tmp_path):
+    p = tmp_path / "g.gml"
+    p.write_text(
+        'graph [\n directed 0\n'
+        ' node [ id 4 label "a ] [ id 9" graphics [ x 1.0 y 2.0 ] ]\n'
+        ' node [ id 5 data [ id 8 inner [ w 1 ] ] label "target 4" ]\n'
+        ' node [ id 6 ]\n'
+        ' edge [ source 4 graphics [ type "line" Line [ point [ x 0 ] ] ] target 5 ]\n'
+        ' edge [ label "source 6"\n   source 5 target 6 ]\n]\n'
+    )
+    g = read_graph(p)
+    assert g.vertex_count == 3
+    assert g.edges == ((0, 1), (1, 2))
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        ' node [ id 0 label "open ]\n',  # unterminated string
+        " node [ id 0 graphics [ x 1 ]\n",  # unclosed node block
+        " node [ id 0 ]\n node [ id 1 ]\n edge [ source 0 target ]\n",
+    ],
+    ids=["unterminated-string", "unclosed-block", "key-without-value"],
+)
+def test_gml_malformed_blocks_rejected(tmp_path, body):
+    p = tmp_path / "g.gml"
+    p.write_text("graph [\n" + body)
+    with pytest.raises(ParseError):
+        read_graph(p)
+
+
 def test_gml_duplicate_edge(tmp_path):
     p = tmp_path / "g.gml"
     p.write_text(
