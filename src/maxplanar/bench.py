@@ -58,7 +58,6 @@ class SuiteConfig:
     seeds: tuple[int, ...]
     time_limit_ms: float | None = None
     restarts: int = 10
-    threshold: float = 0.5  # rounding threshold, forwarded to the ILP route
     workers: int | None = None
 
     def worker_count(self) -> int:

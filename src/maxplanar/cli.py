@@ -119,7 +119,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         seeds=tuple(_parse_seeds(args.seeds)),
         time_limit_ms=args.time_limit_ms,
         restarts=args.restarts,
-        threshold=args.threshold,
         workers=args.workers,
     )
     records = run_suite(config)
@@ -239,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default="0")
     p.add_argument("--time-limit-ms", type=float, default=None)
     p.add_argument("--restarts", type=int, default=10)
-    p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_run)
@@ -272,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_planarize)
 
-    p = sub.add_parser("export-ilp", help="emit an LP model with a separated constraint pool")
+    p = sub.add_parser("export-ilp", help="emit an LP model with the exact solver's constraint pool")
     p.add_argument("instance")
     p.add_argument("--time-limit-ms", type=float, default=5_000.0)
     p.add_argument("--seed", type=int, default=0)

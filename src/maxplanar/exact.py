@@ -5,8 +5,7 @@ each node the graph minus the removed set is tested for planarity; if it is
 not planar a Kuratowski subdivision is extracted and the node branches on
 removing each of its edges (at least one must go, by Kuratowski's theorem).
 The constraint pool accumulated along the way can be exported as an ILP
-model for an external MIP solver; a rounding separation routine for that
-route is provided as well.
+model for an external MIP solver.
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ from dataclasses import dataclass, field
 
 from .graph import EdgeSet, Graph
 from .planarity._engine import edge_addition_run
+from .planarity.api import minimal_nonplanar_subset
 from .planarity.types import NonPlanarStartError
 
 
@@ -44,22 +44,20 @@ def _is_planar_ids(g: Graph, present: list[int]) -> bool:
     return planar
 
 
-def _extract_witness_ids(g: Graph, present: list[int]) -> frozenset[int]:
-    """Edge-minimal non-planar subset of `present` (ids in ascending order)."""
-    kept = list(present)
-    for eid in list(kept):
-        trial = [e for e in kept if e != eid]
-        if not _is_planar_ids(g, trial):
-            kept = trial
-    return frozenset(kept)
+def _extract_witness_ids(g: Graph, present: list[int], deadline: float) -> frozenset[int] | None:
+    """Edge-minimal non-planar subset of `present`; None past the deadline."""
+    return minimal_nonplanar_subset(g, present, deadline)
 
 
-def _witness_packing_bound(g: Graph, all_ids: list[int]) -> int:
-    """Greedy edge-disjoint witness packing: a lower bound on the skewness."""
+def _witness_packing_bound(g: Graph, all_ids: list[int], deadline: float) -> int:
+    """Greedy edge-disjoint witness packing: a lower bound on the skewness.
+    Past the deadline it returns the packing found so far."""
     remaining = list(all_ids)
     bound = 0
     while not _is_planar_ids(g, remaining):
-        witness = _extract_witness_ids(g, remaining)
+        witness = _extract_witness_ids(g, remaining, deadline)
+        if witness is None:
+            break
         bound += 1
         remaining = [e for e in remaining if e not in witness]
     return bound
@@ -78,6 +76,8 @@ def exact_skewness(
     the children disjoint.  A node whose witness lies entirely in F cannot
     be repaired and is pruned.  Nodes are pruned against the incumbent at
     expansion time, so a better starting incumbent never explores more nodes.
+    A non-planar node with |R| + 1 >= incumbent is pruned before its witness
+    is extracted: every child removes one more edge and could only tie.
     """
     if time_limit_ms <= 0:
         raise ValueError("time_limit_ms must be positive")
@@ -101,7 +101,7 @@ def exact_skewness(
             pool_seen.add(witness)
             pool.append(KuratowskiConstraint(edges=witness, rhs=len(witness) - 1))
 
-    lower_bound = _witness_packing_bound(g, all_ids)
+    lower_bound = _witness_packing_bound(g, all_ids, deadline)
 
     nodes = 0
     status = "optimal"
@@ -122,7 +122,12 @@ def exact_skewness(
             best_skew = len(removed)
             best_removed = removed
             continue
-        witness = _extract_witness_ids(g, present)
+        if len(removed) + 1 >= best_skew:
+            continue  # the failed test packs one witness: no child can do better
+        witness = _extract_witness_ids(g, present, deadline)
+        if witness is None:
+            status = "timeout-incumbent"
+            break
         remember(witness)
         branchable = sorted(witness - fixed)
         if not branchable:
@@ -137,8 +142,8 @@ def exact_skewness(
 
     if best_removed is None:
         # No incumbent and the search never reached a planar node: fall back
-        # to keeping nothing (always planar) -- only possible under a tiny
-        # time limit.
+        # to keeping nothing (always planar) -- only possible when the time
+        # limit is hit first.
         best_removed = frozenset(all_ids)
         best_skew = m
         status = "timeout-incumbent"
@@ -150,32 +155,6 @@ def exact_skewness(
         nodes_explored=nodes,
         constraint_pool=pool,
     )
-
-
-def separate_kuratowski(
-    g: Graph,
-    x: list[float],
-    threshold: float,
-    max_rounds: int = 5,
-) -> list[KuratowskiConstraint]:
-    """Rounding-based separation: threshold x, extract witnesses, keep the
-    violated ones, thinning the candidate by one witness edge per round."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must lie strictly between 0 and 1")
-    if len(x) != len(g.edges):
-        raise ValueError("x must assign a value to every edge")
-    candidate = [e for e in range(len(g.edges)) if x[e] >= threshold]
-    found: list[KuratowskiConstraint] = []
-    for _ in range(max_rounds):
-        if _is_planar_ids(g, candidate):
-            break
-        witness = _extract_witness_ids(g, candidate)
-        constraint = KuratowskiConstraint(edges=witness, rhs=len(witness) - 1)
-        if constraint.violation(x) > 0:
-            found.append(constraint)
-        drop = min(witness, key=lambda e: (x[e], e))
-        candidate = [e for e in candidate if e != drop]
-    return found
 
 
 def export_ilp(g: Graph, pool: list[KuratowskiConstraint]) -> str:

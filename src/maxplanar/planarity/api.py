@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import random
+import time
+from collections import Counter
+from collections.abc import Iterable
 
 from ..graph import EdgeSet, Graph
 from ._engine import edge_addition_run
@@ -32,22 +35,38 @@ def embed(g: Graph) -> PlanarityOutcome:
 
 
 def extract_kuratowski(g: Graph) -> KuratowskiSubdivision:
-    """Edge-minimal non-planar edge set of g, classified as K5 or K3,3.
-
-    Works by incremental edge removal: drop each edge whose removal keeps the
-    remainder non-planar.  What survives is minimal, hence a Kuratowski
-    subdivision, and its degree signature decides the kind.
-    """
+    """Edge-minimal non-planar edge set of g, classified as K5 or K3,3."""
     if is_planar(g):
         raise PlanarGraphError("graph is planar; no Kuratowski subdivision exists")
-    n = g.vertex_count
-    kept = list(range(len(g.edges)))
-    for eid in range(len(g.edges)):
+    return classify_witness(g, minimal_nonplanar_subset(g, range(len(g.edges))))
+
+
+def minimal_nonplanar_subset(
+    g: Graph, ids: Iterable[int], deadline: float | None = None
+) -> frozenset[int] | None:
+    """Edge-minimal non-planar subset of the non-planar edge-id set `ids`.
+
+    In the order of `ids`, drop each edge whose removal keeps the rest
+    non-planar; what survives is a Kuratowski subdivision.  An edge with an
+    endpoint of degree 1 lies on no subdivision and is dropped untested.
+    Returns None once `deadline` (a `time.monotonic()` value, checked before
+    each test) has passed.
+    """
+    kept = list(ids)
+    degree = Counter(v for e in kept for v in g.edges[e])
+    for eid in list(kept):
+        a, b = g.edges[eid]
         trial = [e for e in kept if e != eid]
-        planar, _ = edge_addition_run(n, [g.edges[e] for e in trial])
-        if not planar:
-            kept = trial
-    return classify_witness(g, frozenset(kept))
+        if degree[a] > 1 and degree[b] > 1:
+            if deadline is not None and time.monotonic() > deadline:
+                return None
+            planar, _ = edge_addition_run(g.vertex_count, [g.edges[e] for e in trial])
+            if planar:
+                continue
+        kept = trial
+        degree[a] -= 1
+        degree[b] -= 1
+    return frozenset(kept)
 
 
 def classify_witness(g: Graph, edge_ids: EdgeSet) -> KuratowskiSubdivision:
@@ -178,6 +197,7 @@ __all__ = [
     "is_planar_edge_list",
     "embed",
     "extract_kuratowski",
+    "minimal_nonplanar_subset",
     "classify_witness",
     "edge_addition_subgraph",
     "witness_is_valid",

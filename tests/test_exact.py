@@ -1,18 +1,17 @@
 from __future__ import annotations
 
+import json
 import random
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complete_graph, random_graph
-from maxplanar.exact import (
-    KuratowskiConstraint,
-    exact_skewness,
-    export_ilp,
-    separate_kuratowski,
-)
+from conftest import complete_bipartite, complete_graph, petersen, random_graph
+from maxplanar.exact import KuratowskiConstraint, exact_skewness, export_ilp
+from maxplanar.generate import gen_regular
 from maxplanar.graph import subgraph
 from maxplanar.heuristics import cactus_plus
 from maxplanar.planarity import is_planar
@@ -94,33 +93,59 @@ def test_timeout_yields_incumbent():
     assert is_planar(subgraph(g, r.optimal_kept))
 
 
+def test_deadline_honoured_in_bound_and_extraction():
+    # Untimed, the witness-packing bound alone takes about 50 s on these 2,500 edges.
+    g = gen_regular(500, 10, 0)
+    t0 = time.monotonic()
+    r = exact_skewness(g, 2000)
+    elapsed = time.monotonic() - t0
+    assert elapsed < 4.0
+    assert r.status == "timeout-incumbent"
+    assert is_planar(subgraph(g, r.optimal_kept))
+
+
+def _golden_graphs():
+    graphs = {
+        "K5": complete_graph(5),
+        "K3_3": complete_bipartite(3, 3),
+        "K6": complete_graph(6),
+        "Petersen": petersen(),
+        "K7": complete_graph(7),
+    }
+    rng = random.Random(7)
+    for i in range(10):
+        n = rng.randint(7, 10)
+        graphs[f"random{i}"] = random_graph(n, rng.randint(15, 20), rng)
+    return graphs
+
+
+# Per "<graph>/<incumbent>" cell: the sorted kept set, skewness, status and
+# node count, and the constraint pool (edge-id bitmasks) of the solver that
+# extracted a witness at every non-planar node.
+EXACT_GOLDEN = json.loads((Path(__file__).parent / "exact_golden.json").read_text())
+
+
+@pytest.mark.parametrize("name", list(_golden_graphs()))
+def test_exact_golden(name):
+    g = _golden_graphs()[name]
+    for incumbent in ("none", "cactus+"):
+        want = EXACT_GOLDEN[f"{name}/{incumbent}"]
+        start = None if incumbent == "none" else cactus_plus(g, 0).kept
+        r = exact_skewness(g, 60_000, initial_incumbent=start)
+        assert sorted(r.optimal_kept) == want["kept"]
+        assert (r.skewness, r.status, r.nodes_explored) == (
+            want["skewness"], want["status"], want["nodes"]
+        )
+        # Nodes that cannot beat the incumbent no longer extract a witness,
+        # so the pool may only lose constraints.
+        pool = [sum(1 << e for e in c.edges) for c in r.constraint_pool]
+        assert len(set(pool)) == len(pool)
+        assert set(pool) <= set(want["pool"])
+
+
 def test_rejects_nonpositive_time_limit(k5):
     with pytest.raises(ValueError):
         exact_skewness(k5, 0)
-
-
-def test_separation_integral_point(k5):
-    cons = separate_kuratowski(k5, [1.0] * 10, 0.5)
-    assert cons
-    assert len(cons[0].edges) == 10 and cons[0].rhs == 9
-
-
-def test_separation_below_threshold(k5):
-    assert separate_kuratowski(k5, [0.89] * 10, 0.9) == []
-
-
-def test_separation_fractional_violation(k5):
-    x = [0.95] * 10
-    cons = separate_kuratowski(k5, x, 0.5)
-    assert cons
-    assert cons[0].violation(x) == pytest.approx(10 * 0.95 - 9)
-
-
-def test_separation_validates_input(k5):
-    with pytest.raises(ValueError):
-        separate_kuratowski(k5, [1.0] * 9, 0.5)
-    with pytest.raises(ValueError):
-        separate_kuratowski(k5, [1.0] * 10, 1.5)
 
 
 def test_export_ilp_k5(k5):

@@ -11,13 +11,16 @@ from conftest import petersen, random_graph
 from maxplanar.graph import Graph, connected_components, spanning_forest, subgraph
 from maxplanar.planarity import (
     PlanarGraphError,
+    classify_witness,
     edge_addition_subgraph,
     embed,
     extract_kuratowski,
     is_planar,
+    is_planar_edge_list,
     validate_embedding,
     witness_is_valid,
 )
+from maxplanar.planarity.api import minimal_nonplanar_subset
 from maxplanar.planarity._lr import lr_embedding
 from oracles import planar_oracle
 
@@ -146,6 +149,36 @@ def test_witnesses_valid_on_random_nonplanar():
             continue
         found += 1
         assert witness_is_valid(g, extract_kuratowski(g))
+
+
+def _plain_delete_one_edge(g: Graph, ids: list[int]) -> frozenset[int]:
+    kept = list(ids)
+    for eid in ids:
+        trial = [e for e in kept if e != eid]
+        if not is_planar_edge_list(g.vertex_count, [g.edges[e] for e in trial]):
+            kept = trial
+    return frozenset(kept)
+
+
+@given(st.integers(0, 2**30))
+@settings(max_examples=150, deadline=None)
+def test_shared_extractor_matches_plain_loop(seed):
+    """The pendant-edge skip changes no output: same subset as testing every
+    edge, taken in the same (shuffled) order, and a valid classified witness."""
+    rng = random.Random(seed)
+    n = rng.randint(5, 12)
+    pairs = list(itertools.combinations(range(n), 2))
+    g = Graph(n, tuple(rng.sample(pairs, rng.randint(min(2 * n, len(pairs)), len(pairs)))))
+    ids = rng.sample(range(len(g.edges)), rng.randint(9, len(g.edges)))
+    if is_planar_edge_list(n, [g.edges[e] for e in ids]):
+        return
+    got = minimal_nonplanar_subset(g, ids)
+    assert got == _plain_delete_one_edge(g, ids)
+    assert witness_is_valid(g, classify_witness(g, got))
+
+
+def test_shared_extractor_honours_deadline(k5):
+    assert minimal_nonplanar_subset(k5, range(10), deadline=0.0) is None
 
 
 def test_embeddings_valid_on_random_planar():
