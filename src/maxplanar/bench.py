@@ -10,6 +10,7 @@ the worker, excluding instance parsing or generation.
 
 from __future__ import annotations
 
+import csv
 import math
 import multiprocessing as mp
 import os
@@ -83,13 +84,14 @@ class BenchmarkRecord:
     status: str  # ok | timeout | memory | error
     crossings: int | None = None
 
-    def csv_row(self) -> str:
+    def csv_row(self) -> list[str]:
+        """The fields under CSV_HEADER; read_records_csv parses them back."""
         cross = "" if self.crossings is None else str(self.crossings)
-        return (
-            f"{self.instance},{self.set_label},{self.n},{self.m},"
-            f"{self.algorithm},{self.seed},{self.edges_kept},"
-            f"{self.density:.6f},{self.runtime_ms:.3f},{self.status},{cross}"
-        )
+        return [
+            self.instance, self.set_label, str(self.n), str(self.m),
+            self.algorithm, str(self.seed), str(self.edges_kept),
+            f"{self.density:.6f}", f"{self.runtime_ms:.3f}", self.status, cross,
+        ]
 
 
 def run_cell(
@@ -105,12 +107,20 @@ def run_cell(
     `on_size(n, m)` is called once the instance is loaded, before the
     algorithm starts.
     """
+    n = m = 0  # until the instance has loaded
+
+    def record(
+        status: str, kept: int = 0, ms: float = 0.0, crossings: int | None = None
+    ) -> BenchmarkRecord:
+        return BenchmarkRecord(
+            ref.instance_id, ref.set_label, n, m, algorithm, seed,
+            kept, kept / n if n else 0.0, ms, status, crossings,
+        )
+
     try:
         g = ref.load()
     except Exception:
-        return BenchmarkRecord(
-            ref.instance_id, ref.set_label, 0, 0, algorithm, seed, 0, 0.0, 0.0, "error"
-        )
+        return record("error")
     n, m = g.vertex_count, len(g.edges)
     if on_size is not None:
         on_size(n, m)
@@ -122,36 +132,20 @@ def run_cell(
             result = exact_skewness(g, limit, initial_incumbent=incumbent)
             ms = (time.perf_counter() - t0) * 1000.0
             status = "ok" if result.status == "optimal" else "timeout"
-            kept = len(result.optimal_kept)
-            return BenchmarkRecord(
-                ref.instance_id, ref.set_label, n, m, algorithm, seed,
-                kept, kept / n if n else 0.0, ms, status,
-            )
+            return record(status, len(result.optimal_kept), ms)
         if algorithm.startswith("planarize:"):
             base = algorithm.split(":", 1)[1]
             t0 = time.perf_counter()
             sub = run_algorithm(g, base, seed, restarts)
             planarized = insert_edges_fixed(g, sub, seed)
             ms = (time.perf_counter() - t0) * 1000.0
-            kept = len(sub.kept)
-            return BenchmarkRecord(
-                ref.instance_id, ref.set_label, n, m, algorithm, seed,
-                kept, kept / n if n else 0.0, ms, "ok", planarized.dummy_count,
-            )
+            return record("ok", len(sub.kept), ms, planarized.dummy_count)
         sub = run_algorithm(g, algorithm, seed, restarts)
-        kept = len(sub.kept)
-        return BenchmarkRecord(
-            ref.instance_id, ref.set_label, n, m, algorithm, seed,
-            kept, kept / n if n else 0.0, sub.runtime_ms, "ok",
-        )
+        return record("ok", len(sub.kept), sub.runtime_ms)
     except MemoryError:
-        return BenchmarkRecord(
-            ref.instance_id, ref.set_label, n, m, algorithm, seed, 0, 0.0, 0.0, "memory"
-        )
+        return record("memory")
     except Exception:
-        return BenchmarkRecord(
-            ref.instance_id, ref.set_label, n, m, algorithm, seed, 0, 0.0, 0.0, "error"
-        )
+        return record("error")
 
 
 def _cell_worker(conn, ref, algorithm, seed, time_limit_ms, restarts) -> None:
@@ -365,8 +359,34 @@ def aggregate(
 
 
 def emit_records_csv(records: list[BenchmarkRecord], path: str | Path) -> None:
-    lines = [CSV_HEADER] + [r.csv_row() for r in records]
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_HEADER.split(","))
+        writer.writerows(r.csv_row() for r in records)
+
+
+def read_records_csv(path: str | Path) -> list[BenchmarkRecord]:
+    """Records from a file written by emit_records_csv.
+
+    A bad header or a malformed row raises ValueError naming `path:line`.
+    """
+    records: list[BenchmarkRecord] = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            if next(reader, None) != CSV_HEADER.split(","):
+                raise ValueError("not a records CSV (bad header)")
+            for row in reader:
+                if not "".join(row).strip():
+                    continue
+                inst, set_label, n, m, algo, seed, kept, density, ms, status, cross = row
+                records.append(BenchmarkRecord(
+                    inst, set_label, int(n), int(m), algo, int(seed), int(kept),
+                    float(density), float(ms), status, int(cross) if cross else None,
+                ))
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(f"{path}:{reader.line_num or 1}: {exc}") from exc
+    return records
 
 
 def emit_aggregate_csv(rows: list[AggregateRow], path: str | Path) -> None:

@@ -12,21 +12,20 @@ import sys
 from pathlib import Path
 
 from .bench import (
-    BenchmarkRecord,
-    CSV_HEADER,
     InstanceRef,
     SuiteConfig,
     aggregate,
     emit_aggregate_csv,
     emit_plot_data,
     emit_records_csv,
+    read_records_csv,
     run_suite,
 )
 from .exact import exact_skewness, export_ilp
 from .generate import GeneratorSpec
 from .graphio import read_graph, write_graph, write_subgraph
 from .heuristics import ALGORITHMS, cactus_plus, run_algorithm
-from .planarize import crossings, insert_edges_fixed
+from .planarize import insert_edges_fixed
 
 
 class ConfigError(ValueError):
@@ -128,35 +127,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 2 if bad else 0
 
 
-def _read_records_csv(path: str) -> list[BenchmarkRecord]:
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ConfigError(f"{path} is not a records CSV (bad header)")
-    records = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        records.append(
-            BenchmarkRecord(
-                instance=parts[0],
-                set_label=parts[1],
-                n=int(parts[2]),
-                m=int(parts[3]),
-                algorithm=parts[4],
-                seed=int(parts[5]),
-                edges_kept=int(parts[6]),
-                density=float(parts[7]),
-                runtime_ms=float(parts[8]),
-                status=parts[9],
-                crossings=int(parts[10]) if parts[10] else None,
-            )
-        )
-    return records
-
-
 def _cmd_aggregate(args: argparse.Namespace) -> int:
-    records = _read_records_csv(args.records)
+    try:
+        records = read_records_csv(args.records)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     rows = aggregate(records, grouping=args.grouping, metric=args.metric)
     emit_aggregate_csv(rows, args.out)
     print(f"{len(rows)} aggregate rows -> {args.out}")
@@ -191,7 +166,7 @@ def _cmd_planarize(args: argparse.Namespace) -> int:
     )
     print(
         f"subgraph={args.algorithm} kept={len(sub.kept)}/{len(g.edges)} "
-        f"crossings={crossings(planarized)}"
+        f"crossings={planarized.dummy_count}"
     )
     if args.out:
         write_graph(planarized.host, args.out)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .graph import EdgeSet, Graph
+from .graph import EdgeSet, Graph, spanning_forest
 from .planarity._engine import edge_addition_run
 from .planarity.api import minimal_nonplanar_subset
 from .planarity.types import NonPlanarStartError
@@ -141,11 +141,10 @@ def exact_skewness(
             stack.append(child)
 
     if best_removed is None:
-        # No incumbent and the search never reached a planar node: fall back
-        # to keeping nothing (always planar) -- only possible when the time
-        # limit is hit first.
-        best_removed = frozenset(all_ids)
-        best_skew = m
+        # No incumbent and the search never reached a planar node: only
+        # possible when the time limit is hit first.  A forest is planar.
+        best_removed = frozenset(all_ids) - spanning_forest(g)
+        best_skew = len(best_removed)
         status = "timeout-incumbent"
     kept = frozenset(all_ids) - best_removed
     return ExactResult(

@@ -7,6 +7,7 @@ Graphs are immutable after construction and safe to share between workers.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 # An EdgeSet is a plain frozenset of edge ids of some host Graph.
@@ -46,20 +47,8 @@ class Graph:
                 raise GraphError(f"edge {i} duplicates {key}")
             seen.add(key)
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     def all_edges(self) -> EdgeSet:
         return frozenset(range(len(self.edges)))
-
-    def adjacency(self) -> list[list[tuple[int, int]]]:
-        """Per-vertex list of (neighbor, edge id), rebuilt from the edge list."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.vertex_count)]
-        for eid, (a, b) in enumerate(self.edges):
-            adj[a].append((b, eid))
-            adj[b].append((a, eid))
-        return adj
 
     def neighbor_sets(self) -> list[set[int]]:
         nbrs: list[set[int]] = [set() for _ in range(self.vertex_count)]
@@ -71,9 +60,6 @@ class Graph:
     def edge_id(self, a: int, b: int) -> int:
         """Id of the edge {a, b}; raises KeyError if absent."""
         return self._edge_index()[(a, b) if a < b else (b, a)]
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return ((a, b) if a < b else (b, a)) in self._edge_index()
 
     def _edge_index(self) -> dict[tuple[int, int], int]:
         idx = getattr(self, "_edge_index_cache", None)
@@ -88,6 +74,15 @@ class Graph:
         for eid in keep:
             if not (0 <= eid < len(self.edges)):
                 raise GraphError(f"edge id {eid} not in host graph")
+
+
+def adjacency(n: int, edges: Sequence[tuple[int, int]]) -> list[list[tuple[int, int]]]:
+    """Per-vertex list of (neighbor, edge id), in edge-id order."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for eid, (a, b) in enumerate(edges):
+        adj[a].append((b, eid))
+        adj[b].append((a, eid))
+    return adj
 
 
 def subgraph(g: Graph, keep: EdgeSet) -> Graph:
@@ -132,12 +127,11 @@ class DisjointSets:
     Single-owner mutable state; not meant to be shared between workers.
     """
 
-    __slots__ = ("parent", "rank", "count")
+    __slots__ = ("parent", "rank")
 
     def __init__(self, n: int) -> None:
         self.parent = list(range(n))
         self.rank = [0] * n
-        self.count = n
 
     def find(self, x: int) -> int:
         parent = self.parent
@@ -158,8 +152,4 @@ class DisjointSets:
         self.parent[rb] = ra
         if self.rank[ra] == self.rank[rb]:
             self.rank[ra] += 1
-        self.count -= 1
         return True
-
-    def in_same_set(self, a: int, b: int) -> bool:
-        return self.find(a) == self.find(b)

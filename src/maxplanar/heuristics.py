@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 
 from .graph import DisjointSets, EdgeSet, Graph
-from .planarity import edge_addition_subgraph
+from .planarity import edge_addition_subgraph, is_planar
 from .planarity._engine import edge_addition_run
 from .planarity.types import NonPlanarStartError
 
@@ -82,10 +82,8 @@ def grow_maximal(g: Graph, start: EdgeSet, seed: int) -> EdgeSet:
     start_ids = sorted(start)
     for eid in start_ids:
         absorb(eid)
-    if start:
-        planar, _ = edge_addition_run(n, [g.edges[e] for e in start_ids])
-        if not planar:
-            raise NonPlanarStartError("starting edge set is not planar")
+    if start and not is_planar(g, start_ids):
+        raise NonPlanarStartError("starting edge set is not planar")
 
     rest = [e for e in range(len(g.edges)) if e not in start]
     rng = random.Random(seed)

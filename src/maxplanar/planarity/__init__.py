@@ -8,7 +8,6 @@ from .api import (
     embed,
     extract_kuratowski,
     is_planar,
-    is_planar_edge_list,
     validate_embedding,
     witness_is_valid,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "embed",
     "extract_kuratowski",
     "is_planar",
-    "is_planar_edge_list",
     "validate_embedding",
     "witness_is_valid",
 ]

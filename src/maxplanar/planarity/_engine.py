@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from collections import deque
 
+from ..graph import adjacency as build_adjacency
+
 NIL = -1
 
 
@@ -49,10 +51,7 @@ def edge_addition_run(
         return False, []
 
     if adjacency is None:
-        adjacency = [[] for _ in range(n)]
-        for eid, (a, b) in enumerate(edges):
-            adjacency[a].append((b, eid))
-            adjacency[b].append((a, eid))
+        adjacency = build_adjacency(n, edges)
 
     # ------------------------------------------------------------------
     # DFS: indices, parents, lowpoints, least back ancestors, backedges.

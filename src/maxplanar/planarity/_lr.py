@@ -24,9 +24,6 @@ class _Interval:
     def empty(self) -> bool:
         return self.low is None and self.high is None
 
-    def copy(self) -> "_Interval":
-        return _Interval(self.low, self.high)
-
 
 class _ConflictPair:
     __slots__ = ("left", "right")

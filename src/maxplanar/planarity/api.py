@@ -7,20 +7,16 @@ import time
 from collections import Counter
 from collections.abc import Iterable
 
-from ..graph import EdgeSet, Graph
+from ..graph import EdgeSet, Graph, adjacency, connected_components
 from ._engine import edge_addition_run
 from ._lr import lr_embedding
 from .types import Embedding, KuratowskiSubdivision, PlanarGraphError, PlanarityOutcome
 
 
-def is_planar(g: Graph) -> bool:
-    planar, _ = edge_addition_run(g.vertex_count, g.edges)
-    return planar
-
-
-def is_planar_edge_list(n: int, edges: list[tuple[int, int]]) -> bool:
-    """Planarity of a raw edge list; avoids Graph construction in hot loops."""
-    planar, _ = edge_addition_run(n, edges)
+def is_planar(g: Graph, ids: Iterable[int] | None = None) -> bool:
+    """Planarity of g, or of its spanning subgraph on the edge ids `ids`."""
+    edges = g.edges if ids is None else [g.edges[e] for e in ids]
+    planar, _ = edge_addition_run(g.vertex_count, edges)
     return planar
 
 
@@ -60,8 +56,7 @@ def minimal_nonplanar_subset(
         if degree[a] > 1 and degree[b] > 1:
             if deadline is not None and time.monotonic() > deadline:
                 return None
-            planar, _ = edge_addition_run(g.vertex_count, [g.edges[e] for e in trial])
-            if planar:
+            if is_planar(g, trial):
                 continue
         kept = trial
         degree[a] -= 1
@@ -70,13 +65,14 @@ def minimal_nonplanar_subset(
 
 
 def classify_witness(g: Graph, edge_ids: EdgeSet) -> KuratowskiSubdivision:
-    """Classify a minimal non-planar edge set by its degree signature."""
-    deg: dict[int, int] = {}
-    for eid in edge_ids:
-        a, b = g.edges[eid]
-        deg[a] = deg.get(a, 0) + 1
-        deg[b] = deg.get(b, 0) + 1
-    branch = sorted(v for v, d in deg.items() if d >= 3)
+    """Classify an edge set by its degree signature: five branch vertices of
+    degree 4 (K5) or six of degree 3 (K3,3), every other vertex of degree 2.
+
+    Raises PlanarGraphError on any other signature.  Only degrees are read;
+    non-planarity and minimality are witness_is_valid's checks.
+    """
+    deg = Counter(v for e in edge_ids for v in g.edges[e])
+    branch = sorted(v for v, d in deg.items() if d != 2)
     degrees = sorted(deg[v] for v in branch)
     if degrees == [4, 4, 4, 4, 4]:
         kind = "K5"
@@ -84,7 +80,7 @@ def classify_witness(g: Graph, edge_ids: EdgeSet) -> KuratowskiSubdivision:
         kind = "K3_3"
     else:
         raise PlanarGraphError(
-            f"edge set is not a minimal Kuratowski subdivision (branch degrees {degrees})"
+            f"edge set is not a Kuratowski subdivision (non-path degrees {degrees})"
         )
     return KuratowskiSubdivision(kind=kind, branch_vertices=tuple(branch), edges=edge_ids)
 
@@ -98,20 +94,17 @@ def edge_addition_subgraph(g: Graph, order_seed: int = 0) -> EdgeSet:
     continues.
     """
     n = g.vertex_count
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for eid, (a, b) in enumerate(g.edges):
-        adjacency[a].append((b, eid))
-        adjacency[b].append((a, eid))
+    adj = adjacency(n, g.edges)
     root_order = list(range(n))
     rng = random.Random(order_seed)
     rng.shuffle(root_order)
-    for lst in adjacency:
+    for lst in adj:
         rng.shuffle(lst)
     _, skipped = edge_addition_run(
         n,
         g.edges,
         root_order=root_order,
-        adjacency=adjacency,
+        adjacency=adj,
         skip_unembeddable=True,
     )
     return frozenset(range(len(g.edges))) - frozenset(skipped)
@@ -125,29 +118,10 @@ def witness_is_valid(g: Graph, w: KuratowskiSubdivision) -> bool:
         return False
     if classified.kind != w.kind or classified.branch_vertices != w.branch_vertices:
         return False
-    deg: dict[int, int] = {}
-    for eid in w.edges:
-        a, b = g.edges[eid]
-        deg[a] = deg.get(a, 0) + 1
-        deg[b] = deg.get(b, 0) + 1
-    expected = 4 if w.kind == "K5" else 3
-    for v, d in deg.items():
-        if v in w.branch_vertices:
-            if d != expected:
-                return False
-        elif d != 2:
-            return False
-    n = g.vertex_count
-    edge_list = [g.edges[e] for e in sorted(w.edges)]
-    planar, _ = edge_addition_run(n, edge_list)
-    if planar:
+    ids = sorted(w.edges)
+    if is_planar(g, ids):
         return False
-    for i in range(len(edge_list)):
-        trial = edge_list[:i] + edge_list[i + 1 :]
-        planar, _ = edge_addition_run(n, trial)
-        if not planar:
-            return False
-    return True
+    return all(is_planar(g, ids[:i] + ids[i + 1 :]) for i in range(len(ids)))
 
 
 def validate_embedding(g: Graph, emb: Embedding) -> None:
@@ -159,15 +133,9 @@ def validate_embedding(g: Graph, emb: Embedding) -> None:
     """
     if len(emb.rotations) != g.vertex_count:
         raise AssertionError("rotation count != vertex count")
-    incident: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for eid, (a, b) in enumerate(g.edges):
-        incident[a].append(eid)
-        incident[b].append(eid)
-    for v in range(g.vertex_count):
-        if sorted(emb.rotations[v]) != sorted(incident[v]):
+    for v, incident in enumerate(adjacency(g.vertex_count, g.edges)):
+        if sorted(emb.rotations[v]) != sorted(e for _, e in incident):
             raise AssertionError(f"rotation of vertex {v} does not match incidences")
-
-    from ..graph import connected_components
 
     comps = connected_components(g)
     comp_of = [0] * g.vertex_count
@@ -194,7 +162,6 @@ def validate_embedding(g: Graph, emb: Embedding) -> None:
 
 __all__ = [
     "is_planar",
-    "is_planar_edge_list",
     "embed",
     "extract_kuratowski",
     "minimal_nonplanar_subset",

@@ -22,10 +22,6 @@ class Embedding:
 
     rotations: tuple[tuple[int, ...], ...]
 
-    def face_count(self, g: Graph) -> int:
-        """Number of faces obtained by tracing the rotation system."""
-        return len(self.faces(g))
-
     def faces(self, g: Graph) -> list[list[tuple[int, int]]]:
         """Faces as cyclic lists of directed arcs (tail vertex, edge id).
 

@@ -59,10 +59,6 @@ class PlanarizedGraph:
         return Graph(n, tuple(out))
 
 
-def crossings(p: PlanarizedGraph) -> int:
-    return p.dummy_count
-
-
 def _arc_key(pos: list[dict[int, int]], arc: tuple[int, int]) -> tuple[int, int]:
     """Canonical arc order: (tail, index of the edge in the tail's rotation)."""
     tail, eid = arc

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 
 from maxplanar.graph import Graph
-from maxplanar.planarity import is_planar_edge_list
+from maxplanar.planarity import is_planar
 
 
 def planar_oracle(n: int, edges: list[tuple[int, int]]) -> bool:
@@ -101,12 +101,10 @@ def skewness_oracle(g: Graph, max_remove: int | None = None) -> int:
     """
     m = len(g.edges)
     ids = list(range(m))
-    edges = list(g.edges)
     limit = m if max_remove is None else max_remove
     for k in range(limit + 1):
         for removed in itertools.combinations(ids, k):
-            remaining = [edges[e] for e in ids if e not in removed]
-            if is_planar_edge_list(g.vertex_count, remaining):
+            if is_planar(g, [e for e in ids if e not in removed]):
                 return k
     raise AssertionError("no planar subgraph found (impossible)")
 
@@ -124,12 +122,11 @@ def maximal_planar_subgraph_sizes(g: Graph) -> set[int]:
     maximal planar subgraph of K5 has 9 edges".
     """
     m = len(g.edges)
-    edges = list(g.edges)
     planar_sets = [
         subset
         for k in range(m + 1)
         for subset in itertools.combinations(range(m), k)
-        if is_planar_edge_list(g.vertex_count, [edges[e] for e in subset])
+        if is_planar(g, subset)
     ]
     planar_lookup = {frozenset(s) for s in planar_sets}
     sizes: set[int] = set()

@@ -16,6 +16,7 @@ from maxplanar.bench import (
     aggregate,
     emit_plot_data,
     emit_records_csv,
+    read_records_csv,
     run_suite,
     vertex_bucket_10,
 )
@@ -156,6 +157,43 @@ def test_emit_records_csv(tmp_path):
     lines = p.read_text().splitlines()
     assert len(lines) == 2
     assert lines[0] == CSV_HEADER
+
+
+def test_records_csv_round_trip_quotes_only_when_needed(tmp_path):
+    p = tmp_path / "r.csv"
+    records = [rec(), rec(instance='a,"b"', set_label="s,t", crossings=3)]
+    emit_records_csv(records, p)
+    lines = p.read_text().splitlines()
+    assert lines[1] == "i,s,10,20,a,0,9,0.900000,1.000,ok,"
+    assert lines[2] == '"a,""b""","s,t",10,20,a,0,9,0.900000,1.000,ok,3'
+    assert read_records_csv(p) == records
+
+
+def test_cli_aggregate_reads_instance_ids_with_commas(tmp_path):
+    write_graph(complete_graph(5), tmp_path / "a,b.el")
+    out = tmp_path / "rec.csv"
+    assert main([
+        "run", "--instances", str(tmp_path / "a,b.el"),
+        "--algorithms", "cactus", "--out", str(out),
+    ]) == 0
+    got = [(r.instance, r.set_label, r.n, r.m) for r in read_records_csv(out)]
+    assert got == [("a,b", "files", 5, 10)]
+    assert main(["aggregate", "--records", str(out), "--out", str(tmp_path / "agg.csv")]) == 0
+
+
+def test_cli_aggregate_reports_malformed_row(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    emit_records_csv([rec()], bad)
+    # An unquoted id with a comma, as written before ids were quoted.
+    with open(bad, "a") as fh:
+        fh.write("a,b,files,5,10,bm,0,9,1.800000,0.100,ok,\n")
+    with pytest.raises(ValueError, match=r"bad\.csv:3: "):
+        read_records_csv(bad)
+    capsys.readouterr()
+    assert main(["aggregate", "--records", str(bad), "--out", str(tmp_path / "agg.csv")]) == 1
+    err = capsys.readouterr().err
+    assert f"{bad}:3: " in err
+    assert "Traceback" not in err
 
 
 def test_emit_plot_series(tmp_path):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import complete_bipartite, complete_graph, petersen, random_graph
 from maxplanar.exact import KuratowskiConstraint, exact_skewness, export_ilp
 from maxplanar.generate import gen_regular
-from maxplanar.graph import subgraph
+from maxplanar.graph import spanning_forest, subgraph
 from maxplanar.heuristics import cactus_plus
 from maxplanar.planarity import is_planar
 from maxplanar.planarity.types import NonPlanarStartError
@@ -102,6 +102,9 @@ def test_deadline_honoured_in_bound_and_extraction():
     assert elapsed < 4.0
     assert r.status == "timeout-incumbent"
     assert is_planar(subgraph(g, r.optimal_kept))
+    # No node is reached before the deadline: the answer is a spanning forest.
+    assert len(r.optimal_kept) == len(spanning_forest(g))
+    assert r.skewness == len(g.edges) - len(r.optimal_kept)
 
 
 def _golden_graphs():

@@ -16,7 +16,6 @@ from maxplanar.planarity import (
     embed,
     extract_kuratowski,
     is_planar,
-    is_planar_edge_list,
     validate_embedding,
     witness_is_valid,
 )
@@ -41,7 +40,7 @@ def test_embed_triangle_euler():
     g = Graph(3, ((0, 1), (1, 2), (0, 2)))
     out = embed(g)
     assert out.planar
-    assert out.embedding.face_count(g) == 2
+    assert len(out.embedding.faces(g)) == 2
     validate_embedding(g, out.embedding)
 
 
@@ -61,6 +60,13 @@ def test_embed_petersen_witness(petersen_graph):
     # 3-regular graphs cannot hold a K5 subdivision (branch degree 4)
     assert out.witness.kind == "K3_3"
     assert witness_is_valid(petersen_graph, out.witness)
+
+
+def test_classify_witness_checks_whole_degree_signature():
+    # K5 plus a disjoint edge: five degree-4 vertices, but two of degree 1.
+    g = Graph(7, tuple(itertools.combinations(range(5), 2)) + ((5, 6),))
+    with pytest.raises(PlanarGraphError):
+        classify_witness(g, g.all_edges())
 
 
 def test_extract_kuratowski_k5_is_itself(k5):
@@ -155,7 +161,7 @@ def _plain_delete_one_edge(g: Graph, ids: list[int]) -> frozenset[int]:
     kept = list(ids)
     for eid in ids:
         trial = [e for e in kept if e != eid]
-        if not is_planar_edge_list(g.vertex_count, [g.edges[e] for e in trial]):
+        if not is_planar(g, trial):
             kept = trial
     return frozenset(kept)
 
@@ -170,7 +176,7 @@ def test_shared_extractor_matches_plain_loop(seed):
     pairs = list(itertools.combinations(range(n), 2))
     g = Graph(n, tuple(rng.sample(pairs, rng.randint(min(2 * n, len(pairs)), len(pairs)))))
     ids = rng.sample(range(len(g.edges)), rng.randint(9, len(g.edges)))
-    if is_planar_edge_list(n, [g.edges[e] for e in ids]):
+    if is_planar(g, ids):
         return
     got = minimal_nonplanar_subset(g, ids)
     assert got == _plain_delete_one_edge(g, ids)
