@@ -61,6 +61,12 @@ class SuiteConfig:
     restarts: int = 10
     workers: int | None = None
 
+    def __post_init__(self) -> None:
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        if self.time_limit_ms is not None and not self.time_limit_ms > 0:
+            raise ValueError(f"time_limit_ms must be positive, got {self.time_limit_ms}")
+
     def worker_count(self) -> int:
         if self.workers is not None:
             return max(1, self.workers)
@@ -173,7 +179,7 @@ def run_suite(config: SuiteConfig) -> list[BenchmarkRecord]:
     ctx = mp.get_context("fork")
     pending = list(reversed(cells))
     running: list[list] = []  # [process, conn, deadline, cell, started, (n, m)]
-    limit_s = config.time_limit_ms / 1000.0 if config.time_limit_ms else None
+    limit_s = None if config.time_limit_ms is None else config.time_limit_ms / 1000.0
 
     def start(cell):
         ref, algo, seed = cell

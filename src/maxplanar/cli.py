@@ -112,14 +112,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
         base = a.split(":", 1)[1] if a.startswith("planarize:") else a
         if base not in valid:
             raise ConfigError(f"unknown algorithm {a!r}")
-    config = SuiteConfig(
-        instances=tuple(refs),
-        algorithms=tuple(algorithms),
-        seeds=tuple(_parse_seeds(args.seeds)),
-        time_limit_ms=args.time_limit_ms,
-        restarts=args.restarts,
-        workers=args.workers,
-    )
+    try:
+        config = SuiteConfig(
+            instances=tuple(refs),
+            algorithms=tuple(algorithms),
+            seeds=tuple(_parse_seeds(args.seeds)),
+            time_limit_ms=args.time_limit_ms,
+            restarts=args.restarts,
+            workers=args.workers,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     records = run_suite(config)
     emit_records_csv(records, args.out)
     bad = sum(1 for r in records if r.status != "ok")
@@ -141,7 +144,13 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_time_limit(ms: float) -> None:
+    if not ms > 0:
+        raise ConfigError(f"time_limit_ms must be positive, got {ms}")
+
+
 def _cmd_exact(args: argparse.Namespace) -> int:
+    _check_time_limit(args.time_limit_ms)
     g = read_graph(args.instance)
     incumbent = None
     if not args.no_incumbent:
@@ -159,6 +168,8 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 
 
 def _cmd_planarize(args: argparse.Namespace) -> int:
+    if args.restarts < 1:
+        raise ConfigError(f"restarts must be >= 1, got {args.restarts}")
     g = read_graph(args.instance)
     sub = run_algorithm(g, args.algorithm, args.seed, args.restarts)
     planarized = insert_edges_fixed(
@@ -175,6 +186,7 @@ def _cmd_planarize(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_ilp(args: argparse.Namespace) -> int:
+    _check_time_limit(args.time_limit_ms)
     g = read_graph(args.instance)
     incumbent = cactus_plus(g, args.seed).kept
     result = exact_skewness(g, args.time_limit_ms, initial_incumbent=incumbent)

@@ -1,6 +1,10 @@
 """Planar subgraph heuristics: naive growth, skip-mode test, cactus, and the
 "+" variants that grow a seed subgraph to maximality.
 
+Growth decides each candidate edge by one planarity-engine run on the
+planarity kernel of the candidate's component plus the edge, never on the
+whole component; see `grow_maximal`.
+
 All operations are pure in (graph, seed): identical inputs give identical
 kept-edge sets.  Runtime is measured around the algorithm itself, excluding
 any parse or I/O done by callers.
@@ -15,6 +19,7 @@ from dataclasses import dataclass, field
 from .graph import DisjointSets, EdgeSet, Graph
 from .planarity import edge_addition_subgraph, is_planar
 from .planarity._engine import edge_addition_run
+from .planarity._kernel import PlanarityKernel
 from .planarity.types import NonPlanarStartError
 
 SEED_SPACE = 2**63
@@ -47,36 +52,44 @@ def grow_maximal(g: Graph, start: EdgeSet, seed: int) -> EdgeSet:
     uniformly random order; an edge is kept iff the subgraph stays planar at
     the moment it is tried.  One pass suffices: planarity never returns once
     lost, so an edge rejected earlier would be rejected against any superset.
+
+    An edge that joins two components is kept untested, and one that breaks
+    its component's Euler bound is dropped untested.  Every other edge is
+    tested by one engine run on the planarity kernel of its component plus
+    the edge: trees peeled, degree-2 chains suppressed, parallel edges
+    merged, which preserves the verdict and leaves about half the graph.
+    The component's kernel is built at its first test and reused until an
+    accepted edge changes the component.
     """
     g.check_edge_set(start)
     n = g.vertex_count
-    comp_edges: dict[int, list[int]] = {}
-    comp_verts: dict[int, list[int]] = {v: [v] for v in range(n)}
+    # Per component root: its edges as endpoint pairs, and its vertex count.
+    comp_edges: dict[int, list[tuple[int, int]]] = {}
+    comp_size = [1] * n
+    # Per component root: the kernel of the component as it stands, built at
+    # its first test and dropped when the component changes.
+    kernels: dict[int, PlanarityKernel] = {}
     ds = DisjointSets(n)
 
     def absorb(eid: int) -> bool:
         """Add edge to the component structures; False if it closes a cycle."""
         a, b = g.edges[eid]
         ra, rb = ds.find(a), ds.find(b)
+        kernels.pop(ra, None)
+        kernels.pop(rb, None)
         if ra == rb:
-            comp_edges.setdefault(ra, []).append(eid)
+            comp_edges.setdefault(ra, []).append((a, b))
             return False
         ds.union(a, b)
         root = ds.find(a)
-        other = rb if root == ra else ra
         ea = comp_edges.pop(ra, [])
         eb = comp_edges.pop(rb, [])
         if len(ea) < len(eb):
             ea, eb = eb, ea
         ea.extend(eb)
-        ea.append(eid)
+        ea.append((a, b))
         comp_edges[root] = ea
-        va = comp_verts.pop(ra)
-        vb = comp_verts.pop(rb)
-        if len(va) < len(vb):
-            va, vb = vb, va
-        va.extend(vb)
-        comp_verts[root] = va
+        comp_size[root] = comp_size[ra] + comp_size[rb]
         return True
 
     start_ids = sorted(start)
@@ -101,18 +114,16 @@ def grow_maximal(g: Graph, start: EdgeSet, seed: int) -> EdgeSet:
             absorb(eid)
             kept.add(eid)
             continue
-        ce = comp_edges.get(ra, [])
-        nc = len(comp_verts[ra])
+        ce = comp_edges[ra]
+        nc = comp_size[ra]
         if nc >= 3 and len(ce) + 1 > 3 * nc - 6:
             continue  # Euler bound: cannot be planar
-        relabel = {v: i for i, v in enumerate(comp_verts[ra])}
-        local = [
-            (relabel[g.edges[e][0]], relabel[g.edges[e][1]]) for e in ce
-        ]
-        local.append((relabel[a], relabel[b]))
-        planar, _ = edge_addition_run(nc, local)
+        kernel = kernels.get(ra)
+        if kernel is None:
+            kernel = kernels[ra] = PlanarityKernel(ce)
+        planar, _ = edge_addition_run(*kernel.plus_edge(a, b))
         if planar:
-            ce.append(eid)
+            absorb(eid)
             kept.add(eid)
     return frozenset(kept)
 

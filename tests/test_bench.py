@@ -287,3 +287,35 @@ def test_cli_planarize_and_exact(tmp_path, capsys):
     ]) == 0
     out = capsys.readouterr().out
     assert "crossings=3" in out
+
+
+@pytest.mark.parametrize("field, value", [("restarts", 0), ("time_limit_ms", 0.0),
+                                          ("time_limit_ms", -5.0)])
+def test_suite_config_rejects_invalid_settings(field, value):
+    with pytest.raises(ValueError, match=field):
+        SuiteConfig(instances=(k5_ref(),), algorithms=("naive",), seeds=(0,), **{field: value})
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--algorithms", "naive", "--restarts", "0"],
+    ["run", "--algorithms", "cactus", "--time-limit-ms", "0"],
+    ["exact", "--time-limit-ms", "0"],
+    ["export-ilp", "--time-limit-ms", "0"],
+    ["planarize", "--algorithm", "naive", "--restarts", "0"],
+], ids=["run-restarts", "run-time-limit", "exact-time-limit", "export-ilp-time-limit",
+        "planarize-restarts"])
+def test_cli_rejects_invalid_settings_up_front(tmp_path, capsys, argv):
+    # Before, `run --restarts 0` made an error record per naive cell and
+    # exited 2, `run --time-limit-ms 0` ran with no limit at all, and the
+    # other commands died with a traceback.
+    write_graph(complete_graph(5), tmp_path / "k5.el")
+    out = tmp_path / "out.txt"
+    if argv[0] == "run":
+        argv = argv + ["--instances", str(tmp_path / "k5.el")]
+    else:
+        argv = argv[:1] + [str(tmp_path / "k5.el")] + argv[1:]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be" in err
+    assert "Traceback" not in err
+    assert not out.exists()

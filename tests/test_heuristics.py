@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import complete_graph, random_graph
+from maxplanar import heuristics
 from maxplanar.graph import Graph, connected_components, subgraph
 from maxplanar.heuristics import (
     bm_plus,
@@ -55,6 +56,32 @@ def test_grow_maximal_k33(k33):
         kept = grow_maximal(k33, frozenset(), seed)
         assert len(kept) == 8
         assert_maximal(k33, kept)
+
+
+def test_grow_maximal_runs_engine_once_per_test(monkeypatch, k5, k33):
+    # An edge that bridges two components, or that no planar graph could
+    # hold, is decided without the engine; every other edge costs exactly
+    # one engine call.  The benchmark counts growth tests by these calls.
+    engine = heuristics.edge_addition_run
+    verdicts = []
+
+    def counting(*args, **kwargs):
+        result = engine(*args, **kwargs)
+        verdicts.append(result[0])
+        return result
+
+    monkeypatch.setattr(heuristics, "edge_addition_run", counting)
+    for seed in range(8):
+        # K3,3: five bridges span it; of the other four edges, the last
+        # would complete K3,3 and is the only reject.
+        verdicts.clear()
+        assert len(grow_maximal(k33, frozenset(), seed)) == 8
+        assert verdicts == [True, True, True, False]
+        # K5: four bridges, then five accepted tests reach 3n - 6 = 9 edges,
+        # and the Euler bound drops the last edge untested.
+        verdicts.clear()
+        assert len(grow_maximal(k5, frozenset(), seed)) == 9
+        assert verdicts == [True] * 5
 
 
 def test_grow_maximal_rejects_nonplanar_start(k5):
