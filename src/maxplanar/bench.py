@@ -11,24 +11,23 @@ the worker, excluding instance parsing or generation.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import multiprocessing as mp
 import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
-from .exact import exact_skewness
+from .exact import ExactResult, check_time_limit, exact_skewness
 from .generate import GeneratorSpec
 from .graph import Graph
 from .graphio import read_graph
-from .heuristics import cactus_plus, run_algorithm
+from .heuristics import ALGORITHMS, cactus_plus, run_algorithm
 from .planarize import insert_edges_fixed
 
 CSV_HEADER = "instance,set,n,m,algorithm,seed,edges_kept,density,runtime_ms,status,crossings"
-
-WORKERS_ENV = "MAXPLANAR_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -59,21 +58,18 @@ class SuiteConfig:
     seeds: tuple[int, ...]
     time_limit_ms: float | None = None
     restarts: int = 10
-    workers: int | None = None
+    workers: int | None = None  # None: one per CPU
 
     def __post_init__(self) -> None:
+        for label in self.algorithms:
+            if label != "exact" and label.removeprefix("planarize:") not in ALGORITHMS:
+                raise ValueError(f"unknown algorithm {label!r}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.time_limit_ms is not None and not self.time_limit_ms > 0:
-            raise ValueError(f"time_limit_ms must be positive, got {self.time_limit_ms}")
-
-    def worker_count(self) -> int:
-        if self.workers is not None:
-            return max(1, self.workers)
-        env = os.environ.get(WORKERS_ENV)
-        if env:
-            return max(1, int(env))
-        return max(1, os.cpu_count() or 1)
+        if self.time_limit_ms is not None:
+            check_time_limit(self.time_limit_ms)
+        if self.workers is not None and self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -100,6 +96,29 @@ class BenchmarkRecord:
         ]
 
 
+def exact_from_cactus_plus(g: Graph, seed: int, time_limit_ms: float) -> ExactResult:
+    """Exact skewness, starting from the cactus+ subgraph as incumbent."""
+    check_time_limit(time_limit_ms)  # before the incumbent, which can take seconds
+    incumbent = cactus_plus(g, seed).kept
+    return exact_skewness(g, time_limit_ms, initial_incumbent=incumbent)
+
+
+def _cell_record(
+    cell: tuple[InstanceRef, str, int],
+    size: tuple[int, int],
+    status: str,
+    kept: int = 0,
+    ms: float = 0.0,
+    crossings: int | None = None,
+) -> BenchmarkRecord:
+    """The record of one (instance, algorithm, seed) cell of size (n, m)."""
+    (ref, algorithm, seed), (n, m) = cell, size
+    return BenchmarkRecord(
+        ref.instance_id, ref.set_label, n, m, algorithm, seed,
+        kept, kept / n if n else 0.0, ms, status, crossings,
+    )
+
+
 def run_cell(
     ref: InstanceRef,
     algorithm: str,
@@ -113,34 +132,25 @@ def run_cell(
     `on_size(n, m)` is called once the instance is loaded, before the
     algorithm starts.
     """
-    n = m = 0  # until the instance has loaded
-
-    def record(
-        status: str, kept: int = 0, ms: float = 0.0, crossings: int | None = None
-    ) -> BenchmarkRecord:
-        return BenchmarkRecord(
-            ref.instance_id, ref.set_label, n, m, algorithm, seed,
-            kept, kept / n if n else 0.0, ms, status, crossings,
-        )
-
+    cell = (ref, algorithm, seed)
     try:
         g = ref.load()
     except Exception:
-        return record("error")
-    n, m = g.vertex_count, len(g.edges)
+        return _cell_record(cell, (0, 0), "error")
+    size = (g.vertex_count, len(g.edges))
     if on_size is not None:
-        on_size(n, m)
+        on_size(*size)
+    record = functools.partial(_cell_record, cell, size)
     try:
         if algorithm == "exact":
             limit = time_limit_ms if time_limit_ms is not None else 60_000.0
             t0 = time.perf_counter()
-            incumbent = cactus_plus(g, seed).kept
-            result = exact_skewness(g, limit, initial_incumbent=incumbent)
+            result = exact_from_cactus_plus(g, seed, limit)
             ms = (time.perf_counter() - t0) * 1000.0
             status = "ok" if result.status == "optimal" else "timeout"
             return record(status, len(result.optimal_kept), ms)
         if algorithm.startswith("planarize:"):
-            base = algorithm.split(":", 1)[1]
+            base = algorithm.removeprefix("planarize:")
             t0 = time.perf_counter()
             sub = run_algorithm(g, base, seed, restarts)
             planarized = insert_edges_fixed(g, sub, seed)
@@ -175,7 +185,7 @@ def run_suite(config: SuiteConfig) -> list[BenchmarkRecord]:
     if not cells:
         return records
 
-    workers = config.worker_count()
+    workers = config.workers or os.cpu_count() or 1
     ctx = mp.get_context("fork")
     pending = list(reversed(cells))
     running: list[list] = []  # [process, conn, deadline, cell, started, (n, m)]
@@ -203,12 +213,6 @@ def run_suite(config: SuiteConfig) -> list[BenchmarkRecord]:
             deadline = now + max(limit_s * 1.5, limit_s + 0.2)
         running.append([proc, parent, deadline, cell, now, (0, 0)])
 
-    def failed(entry, status: str, ms: float = 0.0) -> BenchmarkRecord:
-        (ref, algo, seed), (n, m) = entry[3], entry[5]
-        return BenchmarkRecord(
-            ref.instance_id, ref.set_label, n, m, algo, seed, 0, 0.0, ms, status
-        )
-
     while pending or running:
         while pending and len(running) < workers:
             start(pending.pop())
@@ -233,14 +237,15 @@ def run_suite(config: SuiteConfig) -> list[BenchmarkRecord]:
                 proc.join()
                 conn.close()
                 if rec is None:  # SIGKILL is what the kernel's OOM killer sends
-                    rec = failed(entry, "memory" if proc.exitcode == -9 else "error")
+                    status = "memory" if proc.exitcode == -9 else "error"
+                    rec = _cell_record(entry[3], entry[5], status)
                 records.append(rec)
             elif deadline is not None and time.monotonic() > deadline:
                 proc.terminate()
                 proc.join()
                 conn.close()
                 elapsed = (time.monotonic() - started) * 1000.0
-                records.append(failed(entry, "timeout", elapsed))
+                records.append(_cell_record(entry[3], entry[5], "timeout", ms=elapsed))
             else:
                 still.append(entry)
                 continue
@@ -261,13 +266,12 @@ class AggregateRow:
     rel_max: float
     empty: bool = False
 
-    def csv_row(self) -> str:
+    def csv_row(self) -> list[str]:
+        """The fields under AGG_HEADER; an empty row leaves the statistics blank."""
+        head = [self.group_key, self.algorithm, str(self.ok_count), str(self.timeout_count)]
         if self.empty:
-            return f"{self.group_key},{self.algorithm},0,{self.timeout_count},,,"
-        return (
-            f"{self.group_key},{self.algorithm},{self.ok_count},{self.timeout_count},"
-            f"{self.rel_min:.6f},{self.rel_avg:.6f},{self.rel_max:.6f}"
-        )
+            return head + ["", "", ""]
+        return head + [f"{v:.6f}" for v in (self.rel_min, self.rel_avg, self.rel_max)]
 
 
 AGG_HEADER = "group,algorithm,ok_count,timeout_count,rel_min,rel_avg,rel_max"
@@ -364,11 +368,16 @@ def aggregate(
     return rows
 
 
-def emit_records_csv(records: list[BenchmarkRecord], path: str | Path) -> None:
+def _write_csv(path: str | Path, header: str, rows: Iterable[list[str]]) -> None:
+    """Header and rows through one csv.writer: fields are quoted only when needed."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER.split(","))
-        writer.writerows(r.csv_row() for r in records)
+        writer.writerow(header.split(","))
+        writer.writerows(rows)
+
+
+def emit_records_csv(records: list[BenchmarkRecord], path: str | Path) -> None:
+    _write_csv(path, CSV_HEADER, (r.csv_row() for r in records))
 
 
 def read_records_csv(path: str | Path) -> list[BenchmarkRecord]:
@@ -396,8 +405,7 @@ def read_records_csv(path: str | Path) -> list[BenchmarkRecord]:
 
 
 def emit_aggregate_csv(rows: list[AggregateRow], path: str | Path) -> None:
-    lines = [AGG_HEADER] + [r.csv_row() for r in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, AGG_HEADER, (r.csv_row() for r in rows))
 
 
 def emit_plot_data(rows: list[AggregateRow], out_dir: str | Path, prefix: str) -> list[Path]:
@@ -409,14 +417,9 @@ def emit_plot_data(rows: list[AggregateRow], out_dir: str | Path, prefix: str) -
     for algo in algorithms:
         safe = algo.replace("+", "plus").replace(":", "_")
         p = out / f"{prefix}_{safe}.csv"
-        lines = ["x,rel_min,rel_avg,rel_max"]
-        for row in rows:
-            if row.algorithm != algo or row.empty:
-                continue
-            x = row.group_key.split(":")[-1]
-            lines.append(
-                f"{x},{row.rel_min:.6f},{row.rel_avg:.6f},{row.rel_max:.6f}"
-            )
-        p.write_text("\n".join(lines) + "\n")
+        _write_csv(p, "x,rel_min,rel_avg,rel_max", (
+            [row.group_key.split(":")[-1]] + row.csv_row()[-3:]
+            for row in rows if row.algorithm == algo and not row.empty
+        ))
         paths.append(p)
     return paths

@@ -2,7 +2,10 @@
 
 Subcommands: gen, run, aggregate, exact, planarize, export-ilp.
 Exit codes: 0 on success, 2 when a suite finished with error/timeout
-records, 1 on configuration errors.
+records (a `run` instance that fails to load is one), 1 on any other input
+error: a bad setting, or a missing or malformed file.  That error is
+reported as one `error: ...` line on stderr.  The library raises every input
+error as a ValueError; `main` is the one place that reports it.
 """
 
 from __future__ import annotations
@@ -18,18 +21,15 @@ from .bench import (
     emit_aggregate_csv,
     emit_plot_data,
     emit_records_csv,
+    exact_from_cactus_plus,
     read_records_csv,
     run_suite,
 )
 from .exact import exact_skewness, export_ilp
 from .generate import GeneratorSpec
 from .graphio import read_graph, write_graph, write_subgraph
-from .heuristics import ALGORITHMS, cactus_plus, run_algorithm
+from .heuristics import ALGORITHMS, run_algorithm
 from .planarize import insert_edges_fixed
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -45,7 +45,7 @@ def _parse_seeds(text: str) -> list[int]:
         else:
             out.append(int(part))
     if not out:
-        raise ConfigError(f"no seeds in {text!r}")
+        raise ValueError(f"no seeds in {text!r}")
     return out
 
 
@@ -60,21 +60,16 @@ def _parse_gen_spec(text: str) -> GeneratorSpec:
             density=int(kv["density"]),
             seed=int(kv.get("seed", 0)),
         )
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"bad generator spec {text!r}: {exc}") from exc
+    except (ValueError, KeyError) as exc:  # a KeyError is a missing n= or density=
+        raise ValueError(f"bad generator spec {text!r}: {exc}") from exc
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    seeds = _parse_seeds(args.seeds)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    seeds = _parse_seeds(args.seeds)
     for seed in seeds:
-        spec = GeneratorSpec(
-            family=args.family.replace("-", "_"),
-            n=args.n,
-            density=args.density,
-            seed=seed,
-        )
+        spec = GeneratorSpec(args.family.replace("-", "_"), args.n, args.density, seed)
         g = spec.build()
         path = out / f"{spec.label()}.el"
         write_graph(g, path)
@@ -83,46 +78,27 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _instances_from_args(args: argparse.Namespace) -> list[InstanceRef]:
-    refs: list[InstanceRef] = []
-    for path in args.instances or []:
-        p = Path(path)
-        refs.append(
-            InstanceRef(
-                instance_id=p.stem,
-                set_label=args.set_label,
-                path=str(p),
-                file_format=args.format,
-            )
-        )
+    refs = [
+        InstanceRef(Path(path).stem, args.set_label, path=path, file_format=args.format)
+        for path in args.instances or []
+    ]
     for text in args.gen or []:
         spec = _parse_gen_spec(text)
-        refs.append(
-            InstanceRef(instance_id=spec.label(), set_label=spec.family, spec=spec)
-        )
+        refs.append(InstanceRef(spec.label(), spec.family, spec=spec))
     if not refs:
-        raise ConfigError("no instances: pass --instances and/or --gen")
+        raise ValueError("no instances: pass --instances and/or --gen")
     return refs
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    refs = _instances_from_args(args)
-    algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-    valid = set(ALGORITHMS) | {"exact"}
-    for a in algorithms:
-        base = a.split(":", 1)[1] if a.startswith("planarize:") else a
-        if base not in valid:
-            raise ConfigError(f"unknown algorithm {a!r}")
-    try:
-        config = SuiteConfig(
-            instances=tuple(refs),
-            algorithms=tuple(algorithms),
-            seeds=tuple(_parse_seeds(args.seeds)),
-            time_limit_ms=args.time_limit_ms,
-            restarts=args.restarts,
-            workers=args.workers,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    config = SuiteConfig(
+        instances=tuple(_instances_from_args(args)),
+        algorithms=tuple(a.strip() for a in args.algorithms.split(",") if a.strip()),
+        seeds=tuple(_parse_seeds(args.seeds)),
+        time_limit_ms=args.time_limit_ms,
+        restarts=args.restarts,
+        workers=args.workers,
+    )
     records = run_suite(config)
     emit_records_csv(records, args.out)
     bad = sum(1 for r in records if r.status != "ok")
@@ -131,10 +107,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_aggregate(args: argparse.Namespace) -> int:
-    try:
-        records = read_records_csv(args.records)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    records = read_records_csv(args.records)
     rows = aggregate(records, grouping=args.grouping, metric=args.metric)
     emit_aggregate_csv(rows, args.out)
     print(f"{len(rows)} aggregate rows -> {args.out}")
@@ -144,18 +117,12 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_time_limit(ms: float) -> None:
-    if not ms > 0:
-        raise ConfigError(f"time_limit_ms must be positive, got {ms}")
-
-
 def _cmd_exact(args: argparse.Namespace) -> int:
-    _check_time_limit(args.time_limit_ms)
     g = read_graph(args.instance)
-    incumbent = None
-    if not args.no_incumbent:
-        incumbent = cactus_plus(g, args.seed).kept
-    result = exact_skewness(g, args.time_limit_ms, initial_incumbent=incumbent)
+    if args.no_incumbent:
+        result = exact_skewness(g, args.time_limit_ms)
+    else:
+        result = exact_from_cactus_plus(g, args.seed, args.time_limit_ms)
     print(
         f"skewness={result.skewness} kept={len(result.optimal_kept)} "
         f"status={result.status} nodes={result.nodes_explored} "
@@ -168,8 +135,6 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 
 
 def _cmd_planarize(args: argparse.Namespace) -> int:
-    if args.restarts < 1:
-        raise ConfigError(f"restarts must be >= 1, got {args.restarts}")
     g = read_graph(args.instance)
     sub = run_algorithm(g, args.algorithm, args.seed, args.restarts)
     planarized = insert_edges_fixed(
@@ -186,10 +151,8 @@ def _cmd_planarize(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_ilp(args: argparse.Namespace) -> int:
-    _check_time_limit(args.time_limit_ms)
     g = read_graph(args.instance)
-    incumbent = cactus_plus(g, args.seed).kept
-    result = exact_skewness(g, args.time_limit_ms, initial_incumbent=incumbent)
+    result = exact_from_cactus_plus(g, args.seed, args.time_limit_ms)
     text = export_ilp(g, result.constraint_pool)
     Path(args.out).write_text(text)
     print(
@@ -272,10 +235,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -63,6 +63,12 @@ def _witness_packing_bound(g: Graph, all_ids: list[int], deadline: float) -> int
     return bound
 
 
+def check_time_limit(time_limit_ms: float) -> None:
+    """Refuse a limit that is not positive, NaN included: no deadline check fires on NaN."""
+    if not time_limit_ms > 0:
+        raise ValueError(f"time_limit_ms must be positive, got {time_limit_ms}")
+
+
 def exact_skewness(
     g: Graph,
     time_limit_ms: float,
@@ -79,8 +85,7 @@ def exact_skewness(
     A non-planar node with |R| + 1 >= incumbent is pruned before its witness
     is extracted: every child removes one more edge and could only tie.
     """
-    if time_limit_ms <= 0:
-        raise ValueError("time_limit_ms must be positive")
+    check_time_limit(time_limit_ms)
     m = len(g.edges)
     all_ids = list(range(m))
     deadline = time.monotonic() + time_limit_ms / 1000.0

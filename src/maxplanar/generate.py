@@ -23,12 +23,14 @@ class GeneratorSpec:
     density: int  # target |E| / |V|
     seed: int
 
+    def __post_init__(self) -> None:
+        if self.family not in ("regular", "scale_free"):
+            raise GeneratorError(f"unknown family {self.family!r}")
+
     def build(self) -> Graph:
         if self.family == "regular":
             return gen_regular(self.n, 2 * self.density, self.seed)
-        if self.family == "scale_free":
-            return gen_scale_free(self.n, self.density, self.seed)
-        raise GeneratorError(f"unknown family {self.family!r}")
+        return gen_scale_free(self.n, self.density, self.seed)
 
     def label(self) -> str:
         return f"{self.family}_n{self.n}_d{self.density}_s{self.seed}"

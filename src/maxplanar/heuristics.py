@@ -259,6 +259,8 @@ def run_algorithm(
     g: Graph, name: str, seed: int, restarts: int = 10
 ) -> SubgraphResult:
     """Dispatch by CLI label; "naive" is the multi-start variant."""
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     if name == "naive":
         return multistart_naive(g, restarts, seed)
     if name == "bm":

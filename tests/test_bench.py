@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import os
 import signal
 import time
@@ -14,6 +16,7 @@ from maxplanar.bench import (
     InstanceRef,
     SuiteConfig,
     aggregate,
+    emit_aggregate_csv,
     emit_plot_data,
     emit_records_csv,
     read_records_csv,
@@ -290,7 +293,8 @@ def test_cli_planarize_and_exact(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field, value", [("restarts", 0), ("time_limit_ms", 0.0),
-                                          ("time_limit_ms", -5.0)])
+                                          ("time_limit_ms", -5.0), ("workers", 0),
+                                          ("workers", -3)])
 def test_suite_config_rejects_invalid_settings(field, value):
     with pytest.raises(ValueError, match=field):
         SuiteConfig(instances=(k5_ref(),), algorithms=("naive",), seeds=(0,), **{field: value})
@@ -302,8 +306,10 @@ def test_suite_config_rejects_invalid_settings(field, value):
     ["exact", "--time-limit-ms", "0"],
     ["export-ilp", "--time-limit-ms", "0"],
     ["planarize", "--algorithm", "naive", "--restarts", "0"],
+    ["planarize", "--algorithm", "cactus+", "--restarts", "0"],
+    ["run", "--algorithms", "cactus", "--workers", "0"],
 ], ids=["run-restarts", "run-time-limit", "exact-time-limit", "export-ilp-time-limit",
-        "planarize-restarts"])
+        "planarize-restarts", "planarize-restarts-cactus+", "run-workers"])
 def test_cli_rejects_invalid_settings_up_front(tmp_path, capsys, argv):
     # Before, `run --restarts 0` made an error record per naive cell and
     # exited 2, `run --time-limit-ms 0` ran with no limit at all, and the
@@ -319,3 +325,82 @@ def test_cli_rejects_invalid_settings_up_front(tmp_path, capsys, argv):
     assert err.startswith("error: ") and "must be" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--algorithms", "planarize:exact"], "unknown algorithm 'planarize:exact'"),
+    (["--algorithms", "cactus", "--gen", "foo:n=10,density=2"], "unknown family 'foo'"),
+], ids=["label", "family"])
+def test_cli_run_refuses_bad_label_and_family(tmp_path, capsys, argv, message):
+    # Both used to pass the CLI and come back as `error` records (exit 2),
+    # the family one with n = m = 0.
+    write_graph(complete_graph(5), tmp_path / "k5.el")
+    out = tmp_path / "rec.csv"
+    argv = ["run", "--instances", str(tmp_path / "k5.el")] + argv + ["--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+SELF_LOOP = ("3\n0 1\n1 1\n", 3)
+DUPLICATE_EDGE = ("3\n0 1\n1 2\n1 0\n", 4)
+
+
+@pytest.mark.parametrize("command, bad_file", [
+    ("exact", SELF_LOOP), ("exact", DUPLICATE_EDGE),
+    ("planarize", SELF_LOOP), ("planarize", DUPLICATE_EDGE),
+    ("export-ilp", SELF_LOOP), ("export-ilp", DUPLICATE_EDGE),
+    ("gen", None),
+], ids=["exact-self-loop", "exact-duplicate-edge", "planarize-self-loop",
+        "planarize-duplicate-edge", "export-ilp-self-loop", "export-ilp-duplicate-edge",
+        "gen-seeds"])
+def test_cli_reports_input_errors_without_traceback(tmp_path, capsys, command, bad_file):
+    out = tmp_path / "out"
+    if bad_file is None:
+        argv = ["gen", "--family", "regular", "--n", "10", "--density", "2",
+                "--seeds", "1-3"]
+    else:
+        body, line = bad_file
+        path = tmp_path / "bad.el"
+        path.write_text(body)
+        argv = [command, str(path)]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    if bad_file is not None:
+        assert f"{path}:{line}: " in err
+    assert not out.exists()
+
+
+def test_aggregate_and_plot_files_quote_labels(tmp_path):
+    def emit(set_label: str) -> dict[str, str]:
+        rows = aggregate([
+            rec(set_label=set_label, algorithm="bm", kept=9),
+            rec(set_label=set_label, algorithm="cactus+", kept=6),
+            rec(set_label=set_label, algorithm="naive", status="timeout"),
+        ])
+        out = tmp_path / set_label
+        out.mkdir()
+        emit_aggregate_csv(rows, out / "agg.csv")
+        emit_plot_data(rows, out, "series")
+        return {p.name: p.read_text() for p in sorted(out.iterdir())}
+
+    # A label with a comma is quoted, so every row parses to the header's width.
+    for text in emit("a,b").values():
+        rows = list(csv.reader(io.StringIO(text)))
+        assert {len(row) for row in rows} == {len(rows[0])}
+    # Without one, the files are exactly what the f-string writers produced.
+    assert emit("s") == {
+        "agg.csv": (
+            "group,algorithm,ok_count,timeout_count,rel_min,rel_avg,rel_max\n"
+            "s:10,bm,1,0,1.000000,1.000000,1.000000\n"
+            "s:10,cactus+,1,0,0.666667,0.666667,0.666667\n"
+            "s:10,naive,0,1,,,\n"
+        ),
+        "series_bm.csv": "x,rel_min,rel_avg,rel_max\n10,1.000000,1.000000,1.000000\n",
+        "series_cactusplus.csv": "x,rel_min,rel_avg,rel_max\n10,0.666667,0.666667,0.666667\n",
+        "series_naive.csv": "x,rel_min,rel_avg,rel_max\n",
+    }

@@ -151,6 +151,14 @@ def test_rejects_nonpositive_time_limit(k5):
         exact_skewness(k5, 0)
 
 
+@pytest.mark.parametrize("limit", [float("nan"), 0.0])
+def test_rejects_nan_and_zero_time_limit(limit):
+    # A NaN limit used to pass the check and make a NaN deadline, which no
+    # `monotonic() > deadline` comparison ever exceeds: the search ran on.
+    with pytest.raises(ValueError, match="time_limit_ms must be positive"):
+        exact_skewness(gen_regular(30, 6, 0), limit)
+
+
 def test_export_ilp_k5(k5):
     r = exact_skewness(k5, 5000)
     text = export_ilp(k5, r.constraint_pool)

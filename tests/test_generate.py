@@ -93,6 +93,11 @@ def test_scale_free_heavier_tail_than_regular():
     assert statistics.mean(ratios) > 3.0
 
 
+def test_spec_rejects_unknown_family():
+    with pytest.raises(GeneratorError, match="unknown family 'foo'"):
+        GeneratorSpec("foo", 10, 2, 0)
+
+
 def test_spec_labels():
     spec = GeneratorSpec("regular", 100, 3, 2)
     assert spec.label() == "regular_n100_d3_s2"
