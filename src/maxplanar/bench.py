@@ -23,7 +23,7 @@ from typing import Callable, Iterable
 from .exact import ExactResult, check_time_limit, exact_skewness
 from .generate import GeneratorSpec
 from .graph import Graph
-from .graphio import read_graph
+from .graphio import read_graph, read_text
 from .heuristics import ALGORITHMS, cactus_plus, run_algorithm
 from .planarize import insert_edges_fixed
 
@@ -383,24 +383,23 @@ def emit_records_csv(records: list[BenchmarkRecord], path: str | Path) -> None:
 def read_records_csv(path: str | Path) -> list[BenchmarkRecord]:
     """Records from a file written by emit_records_csv.
 
-    A bad header or a malformed row raises ValueError naming `path:line`.
+    A bad header or row raises ValueError naming `path:line`, an unreadable path one naming it.
     """
     records: list[BenchmarkRecord] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            if next(reader, None) != CSV_HEADER.split(","):
-                raise ValueError("not a records CSV (bad header)")
-            for row in reader:
-                if not "".join(row).strip():
-                    continue
-                inst, set_label, n, m, algo, seed, kept, density, ms, status, cross = row
-                records.append(BenchmarkRecord(
-                    inst, set_label, int(n), int(m), algo, int(seed), int(kept),
-                    float(density), float(ms), status, int(cross) if cross else None,
-                ))
-        except (ValueError, csv.Error) as exc:
-            raise ValueError(f"{path}:{reader.line_num or 1}: {exc}") from exc
+    reader = csv.reader(read_text(path).splitlines())
+    try:
+        if next(reader, None) != CSV_HEADER.split(","):
+            raise ValueError("not a records CSV (bad header)")
+        for row in reader:
+            if not "".join(row).strip():
+                continue
+            inst, set_label, n, m, algo, seed, kept, density, ms, status, cross = row
+            records.append(BenchmarkRecord(
+                inst, set_label, int(n), int(m), algo, int(seed), int(kept),
+                float(density), float(ms), status, int(cross) if cross else None,
+            ))
+    except (ValueError, csv.Error) as exc:
+        raise ValueError(f"{path}:{reader.line_num or 1}: {exc}") from exc
     return records
 
 

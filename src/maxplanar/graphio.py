@@ -36,6 +36,14 @@ def detect_format(path: str | Path) -> str:
     raise ValueError(f"cannot detect graph format from {path!r}; pass format=")
 
 
+def read_text(path: str | Path) -> str:
+    """The text of `path`; a path that cannot be read raises ValueError naming it."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+
+
 def read_graph(path: str | Path, format: str | None = None) -> Graph:
     fmt = format or detect_format(path)
     if fmt == "edge_list":
@@ -46,7 +54,7 @@ def read_graph(path: str | Path, format: str | None = None) -> Graph:
 
 
 def _read_edge_list(path: str | Path) -> Graph:
-    text = Path(path).read_text()
+    text = read_text(path)
     n = None
     edges: list[tuple[int, int]] = []
     seen: dict[tuple[int, int], int] = {}
@@ -92,7 +100,7 @@ _GML_TOKEN = re.compile(r'"[^"]*"|\[|\]|[^\s\[\]"]+|"')
 
 
 def _read_gml(path: str | Path) -> Graph:
-    text = Path(path).read_text()
+    text = read_text(path)
     # Tokenize, remembering the line of each token for error messages.
     tokens: list[tuple[str, int]] = []
     line, last = 1, 0

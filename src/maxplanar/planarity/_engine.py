@@ -18,6 +18,14 @@ are direction-agnostic doubly linked arc lists so that merging a flipped
 component is O(1).  The engine answers reachability/embeddability only; the
 combinatorial embedding itself is produced by the left-right embedder in
 `_lr.py`, which keeps the two code paths independently checkable.
+
+The walkup finds bicomp roots by union-find, not by walking external faces:
+`up` (path halving) points a child c at its tree-edge root n + c, a merged
+root at the vertex it joined, and an unmerged root at itself.  The output is
+that of a face walk, because a vertex of bicomp B is marked in a step only by
+a walk that also marks B's root, so stopping at a marked root stops where a
+face walk stops at a marked vertex.  Skip mode needs this: its unmerged
+bicomps would otherwise be re-walked by every later walkup.
 """
 
 from __future__ import annotations
@@ -135,18 +143,17 @@ def edge_addition_run(
     # ------------------------------------------------------------------
     # Embedding state.
     # ------------------------------------------------------------------
-    two_nv = 4 * n  # ends array: two slots per vertex/root
-    ends = [NIL] * two_nv
+    ends = [NIL] * (4 * n)  # two slots per vertex/root
     arc_n0: list[int] = []
     arc_n1: list[int] = []
     arc_target: list[int] = []
     arc_eid: list[int] = []
     merged = [False] * n
+    up = list(range(2 * n))
     visited = [NIL] * (2 * n)
     be_flag = [NIL] * n
     be_eid = [0] * n
     pert_roots: list[deque[int] | None] = [None] * n
-    pert_child_stamp = [NIL] * n
     skipped: list[int] = []
 
     def new_arc_pair(src_a: int, tgt_a: int, eid: int) -> int:
@@ -199,10 +206,7 @@ def edge_addition_run(
         return h != NIL and lowpoint[h] < v
 
     def pertinent(w: int, v: int) -> bool:
-        if be_flag[w] == v:
-            return True
-        q = pert_roots[w]
-        return bool(q)
+        return be_flag[w] == v or bool(pert_roots[w])
 
     def sep_remove(c: int) -> None:
         p = parent[c]
@@ -221,6 +225,7 @@ def edge_addition_run(
         """Merge root rr (= w^c) into w, entered at side win, left via rout."""
         c = rr - n
         merged[c] = True
+        up[rr] = w
         q = pert_roots[w]
         if q:
             q.popleft()
@@ -265,6 +270,7 @@ def edge_addition_run(
             ends[2 * r + 1] = a
             ends[2 * c] = a ^ 1
             ends[2 * c + 1] = a ^ 1
+            up[c] = r
 
         backs = back_from[v]
         if not backs:
@@ -273,54 +279,40 @@ def edge_addition_run(
         step_pert_children.clear()
         touched.clear()
 
-        # Walkup: mark the pertinent bicomp chain for every backedge (v, w).
+        # Walkup: mark the pertinent bicomp chain for every backedge (v, w),
+        # hopping from each vertex to its bicomp's root through `up`.
         for w0, eid in backs:
             be_flag[w0] = v
             be_eid[w0] = eid
             if visited[w0] == v:
                 continue
             visited[w0] = v
-            x, xin = w0, 1
-            y, yin = w0, 0
-            turn = 0
+            t = w0
             while True:
-                if turn == 0:
-                    x, xin = ext_succ(x, xin)
-                    t = x
-                else:
-                    y, yin = ext_succ(y, yin)
-                    t = y
-                turn ^= 1
-                if t >= n:
-                    if visited[t] == v:
-                        break
-                    visited[t] = v
-                    c = t - n
-                    u = parent[c]
-                    if u == v:
-                        if pert_child_stamp[c] != v:
-                            pert_child_stamp[c] = v
-                            step_pert_children.append(c)
-                        break
-                    q = pert_roots[u]
-                    if q is None:
-                        q = deque()
-                        pert_roots[u] = q
-                    if lowpoint[c] < v:
-                        q.append(t)
-                    else:
-                        q.appendleft(t)
-                    touched.append(u)
-                    if visited[u] == v:
-                        break
-                    visited[u] = v
-                    x, xin = u, 1
-                    y, yin = u, 0
-                    turn = 0
-                elif visited[t] == v:
+                while up[t] != t:
+                    up[t] = up[up[t]]
+                    t = up[t]
+                if visited[t] == v:
                     break
+                visited[t] = v
+                c = t - n
+                u = parent[c]
+                if u == v:
+                    step_pert_children.append(c)
+                    break
+                q = pert_roots[u]
+                if q is None:
+                    q = deque()
+                    pert_roots[u] = q
+                if lowpoint[c] < v:
+                    q.append(t)
                 else:
-                    visited[t] = v
+                    q.appendleft(t)
+                touched.append(u)
+                if visited[u] == v:
+                    break
+                visited[u] = v
+                t = u
 
         # Walkdown from each pertinent root copy of v.
         for c0 in step_pert_children:

@@ -375,6 +375,24 @@ def test_cli_reports_input_errors_without_traceback(tmp_path, capsys, command, b
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["exact", "aggregate"])
+def test_cli_reports_unreadable_input_without_traceback(tmp_path, capsys, command):
+    # A directory where the input file should be used to end in an
+    # IsADirectoryError traceback.
+    path = tmp_path / ("d.el" if command == "exact" else "d.csv")
+    path.mkdir()
+    out = tmp_path / "out"
+    if command == "exact":
+        argv = ["exact", str(path)]
+    else:
+        argv = ["aggregate", "--records", str(path)]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: cannot read")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_aggregate_and_plot_files_quote_labels(tmp_path):
     def emit(set_label: str) -> dict[str, str]:
         rows = aggregate([

@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxplanar.graph import Graph, connected_components, subgraph
+from maxplanar.graph import Graph, adjacency, connected_components, subgraph
 from maxplanar.planarity import edge_addition_subgraph, embed, is_planar, validate_embedding
+from maxplanar.planarity._engine import edge_addition_run
 
 nx = pytest.importorskip("networkx")
 
@@ -82,6 +83,28 @@ def test_is_planar_matches_networkx(drawn):
     for _ in range(3):
         ids = rng.sample(range(len(g.edges)), rng.randint(0, len(g.edges)))
         assert is_planar(g, ids) == _nx_planar(g, ids)
+
+
+@given(graphs(), st.integers(0, 2**30))
+@settings(max_examples=100, deadline=None)
+def test_engine_matches_networkx_on_shuffled_dfs(drawn, seed):
+    # The walkup's state depends on the DFS shape, so the engine is checked on
+    # seed-shuffled root and neighbour orders, not only on is_planar's default.
+    g, _ = drawn
+    n = g.vertex_count
+    rng = random.Random(seed)
+    root_order = list(range(n))
+    rng.shuffle(root_order)
+    adj = adjacency(n, g.edges)
+    for lst in adj:
+        rng.shuffle(lst)
+    planar, _ = edge_addition_run(n, g.edges, root_order=root_order, adjacency=adj)
+    assert planar == _nx_planar(g)
+    _, skipped = edge_addition_run(
+        n, g.edges, root_order=root_order, adjacency=adj, skip_unembeddable=True
+    )
+    if planar:
+        assert skipped == []
 
 
 @given(graphs(), st.integers(0, 2**30))
