@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import math
 import multiprocessing as mp
 import os
@@ -23,7 +24,7 @@ from typing import Callable, Iterable
 from .exact import ExactResult, check_time_limit, exact_skewness
 from .generate import GeneratorSpec
 from .graph import Graph
-from .graphio import read_graph, read_text
+from .graphio import make_dir, read_graph, read_text, write_text
 from .heuristics import ALGORITHMS, cactus_plus, run_algorithm
 from .planarize import insert_edges_fixed
 
@@ -370,10 +371,11 @@ def aggregate(
 
 def _write_csv(path: str | Path, header: str, rows: Iterable[list[str]]) -> None:
     """Header and rows through one csv.writer: fields are quoted only when needed."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header.split(","))
-        writer.writerows(rows)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header.split(","))
+    writer.writerows(rows)
+    write_text(path, buf.getvalue())
 
 
 def emit_records_csv(records: list[BenchmarkRecord], path: str | Path) -> None:
@@ -409,8 +411,7 @@ def emit_aggregate_csv(rows: list[AggregateRow], path: str | Path) -> None:
 
 def emit_plot_data(rows: list[AggregateRow], out_dir: str | Path, prefix: str) -> list[Path]:
     """One series file per algorithm: x = group bucket, y = min/avg/max."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_dir(out_dir)
     paths: list[Path] = []
     algorithms = sorted({r.algorithm for r in rows})
     for algo in algorithms:

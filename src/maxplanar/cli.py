@@ -3,9 +3,10 @@
 Subcommands: gen, run, aggregate, exact, planarize, export-ilp.
 Exit codes: 0 on success, 2 when a suite finished with error/timeout
 records (a `run` instance that fails to load is one), 1 on any other input
-error: a bad setting, or a missing or malformed file.  That error is
-reported as one `error: ...` line on stderr.  The library raises every input
-error as a ValueError; `main` is the one place that reports it.
+error: a bad setting, a missing or malformed file, or an output path that
+cannot be written.  That error is reported as one `error: ...` line on
+stderr.  The library raises every input error as a ValueError; `main` is
+the one place that reports it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .bench import (
 )
 from .exact import exact_skewness, export_ilp
 from .generate import GeneratorSpec
-from .graphio import read_graph, write_graph, write_subgraph
+from .graphio import make_dir, read_graph, write_graph, write_subgraph, write_text
 from .heuristics import ALGORITHMS, run_algorithm
 from .planarize import insert_edges_fixed
 
@@ -66,8 +67,7 @@ def _parse_gen_spec(text: str) -> GeneratorSpec:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     seeds = _parse_seeds(args.seeds)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_dir(args.out)
     for seed in seeds:
         spec = GeneratorSpec(args.family.replace("-", "_"), args.n, args.density, seed)
         g = spec.build()
@@ -154,7 +154,7 @@ def _cmd_export_ilp(args: argparse.Namespace) -> int:
     g = read_graph(args.instance)
     result = exact_from_cactus_plus(g, args.seed, args.time_limit_ms)
     text = export_ilp(g, result.constraint_pool)
-    Path(args.out).write_text(text)
+    write_text(args.out, text)
     print(
         f"model with {len(g.edges)} binaries and "
         f"{len(result.constraint_pool)} constraints -> {args.out}"

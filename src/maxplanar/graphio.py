@@ -8,8 +8,9 @@ Two formats:
     order.  Other keys, quoted strings and nested [ ... ] lists inside node
     and edge blocks are skipped.
 
-Loops and parallel edges are parse errors (with the offending line), never
-silently simplified.
+Loops, parallel edges and a repeated node id, edge source or edge target are
+parse errors (with the offending line), never silently simplified.  A file
+that cannot be read or written raises ValueError naming its path.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ def detect_format(path: str | Path) -> str:
         return "edge_list"
     if suffix == ".gml":
         return "gml_subset"
-    raise ValueError(f"cannot detect graph format from {path!r}; pass format=")
+    raise ValueError(f"cannot detect graph format from {path!r} (use .el or .gml)")
 
 
 def read_text(path: str | Path) -> str:
@@ -42,6 +43,23 @@ def read_text(path: str | Path) -> str:
         return Path(path).read_text()
     except OSError as exc:
         raise ValueError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write `text` to `path`; a path that cannot be written raises ValueError naming it."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot write: {exc.strerror or exc}") from exc
+
+
+def make_dir(path: str | Path) -> Path:
+    """Create directory `path` and its parents if absent; failure raises ValueError naming it."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot create directory: {exc.strerror or exc}") from exc
+    return Path(path)
 
 
 def read_graph(path: str | Path, format: str | None = None) -> Graph:
@@ -116,10 +134,13 @@ def _read_gml(path: str | Path) -> Graph:
     edges: list[tuple[int, int]] = []
     seen: dict[tuple[int, int], int] = {}
 
-    def read_int(values: dict[str, int], key: str, what: str) -> int | None:
+    def read_int(values: dict[str, list[int]], key: str, what: str) -> int | None:
         if key not in values:
             return None
-        tok, line = tokens[values[key]]
+        first, *again = values[key]
+        if again:
+            raise ParseError(path, tokens[again[0]][1], f"repeated {what}")
+        tok, line = tokens[first]
         try:
             return int(tok)
         except ValueError:
@@ -161,14 +182,14 @@ def _read_gml(path: str | Path) -> Graph:
 
 def _read_block(
     path: str | Path, tokens: list[tuple[str, int]], i: int
-) -> tuple[dict[str, int], int]:
+) -> tuple[dict[str, list[int]], int]:
     """Key/value pairs of the block whose body starts at token i.
 
-    Returns {lowercased key: token index of its value} for the block's own
-    scalar values (nested [ ... ] lists are skipped), and the index after the
-    closing bracket.
+    Returns {lowercased key: token indices of its values, in file order} for
+    the block's own scalar values (nested [ ... ] lists are skipped), and the
+    index after the closing bracket.
     """
-    values: dict[str, int] = {}
+    values: dict[str, list[int]] = {}
     while i < len(tokens) and tokens[i][0] != "]":
         key = tokens[i][0]
         if i + 1 >= len(tokens) or tokens[i + 1][0] == "]":
@@ -181,7 +202,7 @@ def _read_block(
             if depth:
                 break
         else:
-            values[key.lower()] = i + 1
+            values.setdefault(key.lower(), []).append(i + 1)
             i += 2
     if i >= len(tokens):
         raise ParseError(path, tokens[-1][1], "unclosed [ block")
@@ -195,31 +216,19 @@ def _expect(path: str | Path, tokens: list[tuple[str, int]], i: int, want: str) 
     return i + 1
 
 
-def write_graph(g: Graph, path: str | Path, format: str | None = None) -> None:
-    write_subgraph(g, g.all_edges(), path, format)
+def write_graph(g: Graph, path: str | Path) -> None:
+    write_subgraph(g, g.all_edges(), path)
 
 
-def write_subgraph(
-    g: Graph, kept: EdgeSet, path: str | Path, format: str | None = None
-) -> None:
-    """Write the kept edges of g (all vertices retained) to a file."""
+def write_subgraph(g: Graph, kept: EdgeSet, path: str | Path) -> None:
+    """Write the kept edges of g (all vertices retained); the extension picks the format."""
     g.check_edge_set(kept)
-    fmt = format or detect_format(path)
-    p = Path(path)
-    if fmt == "edge_list":
-        lines = [str(g.vertex_count)]
-        for eid in sorted(kept):
-            a, b = g.edges[eid]
-            lines.append(f"{a} {b}")
-        p.write_text("\n".join(lines) + "\n")
-    elif fmt == "gml_subset":
-        out = ["graph ["]
-        for v in range(g.vertex_count):
-            out.append(f"  node [ id {v} ]")
-        for eid in sorted(kept):
-            a, b = g.edges[eid]
-            out.append(f"  edge [ source {a} target {b} ]")
-        out.append("]")
-        p.write_text("\n".join(out) + "\n")
+    pairs = [g.edges[eid] for eid in sorted(kept)]
+    if detect_format(path) == "edge_list":
+        lines = [str(g.vertex_count)] + [f"{a} {b}" for a, b in pairs]
     else:
-        raise ValueError(f"unknown graph format {fmt!r}")
+        lines = ["graph ["]
+        lines += [f"  node [ id {v} ]" for v in range(g.vertex_count)]
+        lines += [f"  edge [ source {a} target {b} ]" for a, b in pairs]
+        lines.append("]")
+    write_text(path, "\n".join(lines) + "\n")

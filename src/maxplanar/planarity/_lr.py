@@ -1,10 +1,16 @@
 """Left-right planarity test with combinatorial embedding construction.
 
-Implements the de Fraysseix-Rosenstiehl criterion in Brandes' formulation:
-a DFS orientation phase computing lowpoints and nesting depths, a testing
-phase maintaining a stack of conflict pairs of back-edge intervals, and an
-embedding phase that resolves the left/right side of every back edge and
-orders each adjacency list by signed nesting depth.
+Implements the de Fraysseix-Rosenstiehl criterion in Brandes' formulation
+("The Left-Right Planarity Test", 2009): a DFS orientation phase computing
+lowpoints and nesting depths, a testing phase maintaining a stack of conflict
+pairs of back-edge intervals, and an embedding phase that resolves the
+left/right side of every back edge and orders each adjacency list by signed
+nesting depth.
+
+Neighbours and edge ids come from `graph.adjacency`.  Each edge is oriented
+exactly once, in phase 1, so all per-edge state lives in lists indexed by
+edge id.  Each phase's DFS runs on an explicit stack with a per-vertex index
+of the next edge to scan.
 
 This module is the embedding backend; planarity verdicts in hot paths come
 from the independent edge-addition engine, and the two are cross-checked in
@@ -12,6 +18,10 @@ the test suite.
 """
 
 from __future__ import annotations
+
+from ..graph import adjacency
+
+NIL = -1
 
 
 class _Interval:
@@ -42,96 +52,72 @@ def lr_embedding(
 ) -> list[list[int]] | None:
     """Rotation system (per-vertex cyclic lists of edge ids) or None if non-planar."""
     m = len(edges)
-    if n == 0:
-        return []
-    adj: list[list[int]] = [[] for _ in range(n)]
-    eid_of: dict[tuple[int, int], int] = {}
-    for eid, (a, b) in enumerate(edges):
-        adj[a].append(b)
-        adj[b].append(a)
-        eid_of[(a, b)] = eid
-        eid_of[(b, a)] = eid
     if n > 2 and m > 3 * n - 6:
         return None
+    adj = adjacency(n, edges)
 
-    height: list[int | None] = [None] * n
-    parent_edge: list[tuple[int, int] | None] = [None] * n
-    lowpt: dict[tuple[int, int], int] = {}
-    lowpt2: dict[tuple[int, int], int] = {}
-    nesting_depth: dict[tuple[int, int], int] = {}
-    oriented: set[tuple[int, int]] = set()
-
+    height = [NIL] * n
+    parent_edge = [NIL] * n
+    tail = [NIL] * m
+    head = [NIL] * m
+    lowpt = [0] * m
+    lowpt2 = [0] * m
     roots: list[int] = []
 
-    # Phase 1: DFS orientation (iterative).
+    # Phase 1: orient every edge away from the DFS root and compute lowpoints.
+    # A tree edge is seen at its tail again once its child has finished.
+    nxt = [0] * n
     for s in range(n):
-        if height[s] is not None:
+        if height[s] != NIL:
             continue
         height[s] = 0
         roots.append(s)
-        dfs_stack = [s]
-        ind: dict[int, int] = {}
-        skip_init: set[tuple[int, int]] = set()
-        while dfs_stack:
-            v = dfs_stack.pop()
+        stack = [s]
+        while stack:
+            v = stack[-1]
             e = parent_edge[v]
-            i = ind.get(v, 0)
+            hv = height[v]
             adj_v = adj[v]
-            recurse = False
+            i = nxt[v]
             while i < len(adj_v):
-                w = adj_v[i]
-                vw = (v, w)
-                if vw not in skip_init:
-                    if vw in oriented or (w, v) in oriented:
-                        i += 1
-                        continue
-                    oriented.add(vw)
-                    lowpt[vw] = height[v]
-                    lowpt2[vw] = height[v]
-                    if height[w] is None:
-                        parent_edge[w] = vw
-                        height[w] = height[v] + 1
-                        ind[v] = i
-                        skip_init.add(vw)
-                        dfs_stack.append(v)
-                        dfs_stack.append(w)
-                        recurse = True
+                w, f = adj_v[i]
+                if tail[f] == NIL:
+                    tail[f] = v
+                    head[f] = w
+                    lowpt[f] = lowpt2[f] = hv
+                    if height[w] == NIL:
+                        parent_edge[w] = f
+                        height[w] = hv + 1
+                        stack.append(w)
                         break
-                    lowpt[vw] = height[w]
-                nesting_depth[vw] = 2 * lowpt[vw]
-                if lowpt2[vw] < height[v]:
-                    nesting_depth[vw] += 1
-                if e is not None:
-                    if lowpt[vw] < lowpt[e]:
-                        lowpt2[e] = min(lowpt[e], lowpt2[vw])
-                        lowpt[e] = lowpt[vw]
-                    elif lowpt[vw] > lowpt[e]:
-                        lowpt2[e] = min(lowpt2[e], lowpt[vw])
+                    lowpt[f] = height[w]
+                if tail[f] == v and e != NIL:
+                    if lowpt[f] < lowpt[e]:
+                        lowpt2[e] = min(lowpt[e], lowpt2[f])
+                        lowpt[e] = lowpt[f]
+                    elif lowpt[f] > lowpt[e]:
+                        lowpt2[e] = min(lowpt2[e], lowpt[f])
                     else:
-                        lowpt2[e] = min(lowpt2[e], lowpt2[vw])
+                        lowpt2[e] = min(lowpt2[e], lowpt2[f])
                 i += 1
-            if not recurse:
-                ind[v] = i
+            else:
+                stack.pop()
+            nxt[v] = i
 
-    ordered_adjs: list[list[int]] = [
-        sorted(
-            (w for w in adj_v if (v, w) in oriented),
-            key=lambda w, _v=v: nesting_depth[(_v, w)],
-        )
+    nesting_depth = [2 * lowpt[f] + (lowpt2[f] < height[tail[f]]) for f in range(m)]
+    ordered = [
+        sorted((f for _, f in adj_v if tail[f] == v), key=nesting_depth.__getitem__)
         for v, adj_v in enumerate(adj)
     ]
 
     # Phase 2: testing with conflict pairs.
     S: list[_ConflictPair] = []
-    stack_bottom: dict[tuple[int, int], _ConflictPair | None] = {}
-    lowpt_edge: dict[tuple[int, int], tuple[int, int]] = {}
-    ref: dict[tuple[int, int], tuple[int, int] | None] = {}
-    side: dict[tuple[int, int], int] = {e: 1 for e in oriented}
+    stack_bottom: list[_ConflictPair | None] = [None] * m
+    lowpt_edge = [NIL] * m
+    ref: list[int | None] = [None] * m
+    side = [1] * m
 
-    def top() -> _ConflictPair | None:
-        return S[-1] if S else None
-
-    def conflicting(interval: _Interval, b: tuple[int, int]) -> bool:
+    def conflicting(interval: _Interval, b: int) -> bool:
         return not interval.empty() and lowpt[interval.high] > lowpt[b]
 
     def lowest(pair: _ConflictPair) -> int:
@@ -141,7 +127,7 @@ def lr_embedding(
             return lowpt[pair.left.low]
         return min(lowpt[pair.left.low], lowpt[pair.right.low])
 
-    def add_constraints(ei: tuple[int, int], e: tuple[int, int]) -> bool:
+    def add_constraints(ei: int, e: int) -> bool:
         p = _ConflictPair()
         # Merge return edges of ei into p.right.
         while True:
@@ -158,10 +144,10 @@ def lr_embedding(
                 p.right.low = q.right.low
             else:
                 ref[q.right.low] = lowpt_edge[e]
-            if top() is stack_bottom[ei]:
+            if (S[-1] if S else None) is stack_bottom[ei]:
                 break
         # Merge conflicting return edges of earlier siblings into p.left.
-        while conflicting(top().left, ei) or conflicting(top().right, ei):
+        while conflicting(S[-1].left, ei) or conflicting(S[-1].right, ei):
             q = S.pop()
             if conflicting(q.right, ei):
                 q.swap()
@@ -179,127 +165,113 @@ def lr_embedding(
             S.append(p)
         return True
 
-    def remove_back_edges(e: tuple[int, int]) -> None:
-        u = e[0]
+    def remove_back_edges(e: int) -> None:
+        u = tail[e]
         while S and lowest(S[-1]) == height[u]:
             p = S.pop()
             if p.left.low is not None:
                 side[p.left.low] = -1
         if S:
             p = S.pop()
-            while p.left.high is not None and p.left.high[1] == u:
-                p.left.high = ref.get(p.left.high)
+            while p.left.high is not None and head[p.left.high] == u:
+                p.left.high = ref[p.left.high]
             if p.left.high is None and p.left.low is not None:
                 ref[p.left.low] = p.right.low
                 side[p.left.low] = -1
                 p.left.low = None
-            while p.right.high is not None and p.right.high[1] == u:
-                p.right.high = ref.get(p.right.high)
+            while p.right.high is not None and head[p.right.high] == u:
+                p.right.high = ref[p.right.high]
             if p.right.high is None and p.right.low is not None:
                 ref[p.right.low] = p.left.low
                 side[p.right.low] = -1
                 p.right.low = None
             S.append(p)
         if lowpt[e] < height[u]:
-            tp = S[-1]
-            hl = tp.left.high
-            hr = tp.right.high
+            hl, hr = S[-1].left.high, S[-1].right.high
             if hl is not None and (hr is None or lowpt[hl] > lowpt[hr]):
                 ref[e] = hl
             else:
                 ref[e] = hr
 
+    # After a child is popped, its parent resumes at the tree edge to it.
+    nxt = [0] * n
     for s in roots:
-        dfs_stack = [s]
-        ind2: dict[int, int] = {}
-        skip_init2: set[tuple[int, int]] = set()
-        while dfs_stack:
-            v = dfs_stack.pop()
+        stack = [s]
+        returned = False
+        while stack:
+            v = stack[-1]
             e = parent_edge[v]
-            i = ind2.get(v, 0)
-            oav = ordered_adjs[v]
-            skip_final = False
-            while i < len(oav):
-                w = oav[i]
-                ei = (v, w)
-                if ei not in skip_init2:
-                    stack_bottom[ei] = top()
-                    if ei == parent_edge[w]:
-                        ind2[v] = i
-                        skip_init2.add(ei)
-                        dfs_stack.append(v)
-                        dfs_stack.append(w)
-                        skip_final = True
+            out_v = ordered[v]
+            i = nxt[v]
+            while i < len(out_v):
+                f = out_v[i]
+                if not returned:
+                    stack_bottom[f] = S[-1] if S else None
+                    if parent_edge[head[f]] == f:
+                        stack.append(head[f])
                         break
-                    lowpt_edge[ei] = ei
-                    S.append(_ConflictPair(right=_Interval(ei, ei)))
-                if lowpt[ei] < height[v]:
-                    if w == oav[0]:
-                        lowpt_edge[e] = lowpt_edge[ei]
-                    else:
-                        if not add_constraints(ei, e):
-                            return None
+                    lowpt_edge[f] = f
+                    S.append(_ConflictPair(right=_Interval(f, f)))
+                returned = False
+                if lowpt[f] < height[v]:
+                    if i == 0:
+                        lowpt_edge[e] = lowpt_edge[f]
+                    elif not add_constraints(f, e):
+                        return None
                 i += 1
-            if not skip_final:
-                ind2[v] = i
-                if e is not None:
+            else:
+                stack.pop()
+                if e != NIL:
                     remove_back_edges(e)
+                returned = True
+            nxt[v] = i
 
-    # Phase 3: embedding.  Resolve sides, re-sort by signed nesting depth.
-    def resolved_side(e: tuple[int, int]) -> int:
-        chain: list[tuple[int, int]] = []
-        cur = e
-        while ref.get(cur) is not None:
+    # Phase 3: embedding.  Resolve sides (compressing ref chains keeps their
+    # products, so the order does not matter), re-sort by signed nesting depth.
+    for f in range(m):
+        chain: list[int] = []
+        cur = f
+        while ref[cur] is not None:
             chain.append(cur)
             cur = ref[cur]
         result = side[cur]
         for x in reversed(chain):
-            side[x] = side[x] * result
+            side[x] *= result
             ref[x] = None
             result = side[x]
-        return result
+        nesting_depth[f] *= result
+    for out_v in ordered:
+        out_v.sort(key=nesting_depth.__getitem__)
 
-    for e in oriented:
-        nesting_depth[e] *= resolved_side(e)
-    for v in range(n):
-        ordered_adjs[v] = sorted(
-            ordered_adjs[v], key=lambda w, _v=v: nesting_depth[(_v, w)]
-        )
-
-    # Base rotations: each vertex's outgoing oriented edges in sorted order.
-    rotations: list[list[int]] = [list(oav) for oav in ordered_adjs]
-    left_ref: list[int | None] = [None] * n
-    right_ref: list[int | None] = [None] * n
-
+    # Base rotations: each vertex's outgoing edges in sorted order; the DFS
+    # inserts each incoming edge beside its tree edge or last left edge.
+    rotations = [list(out_v) for out_v in ordered]
+    left_ref = [NIL] * n
+    right_ref = [NIL] * n
+    nxt = [0] * n
     for s in roots:
-        dfs_stack = [s]
-        ind3: dict[int, int] = {}
-        while dfs_stack:
-            v = dfs_stack.pop()
-            i = ind3.get(v, 0)
-            oav = ordered_adjs[v]
-            recurse = False
-            while i < len(oav):
-                w = oav[i]
+        stack = [s]
+        while stack:
+            v = stack[-1]
+            out_v = ordered[v]
+            i = nxt[v]
+            while i < len(out_v):
+                f = out_v[i]
                 i += 1
-                ei = (v, w)
-                if ei == parent_edge[w]:
-                    rotations[w].insert(0, v)
-                    left_ref[v] = w
-                    right_ref[v] = w
-                    ind3[v] = i
-                    dfs_stack.append(v)
-                    dfs_stack.append(w)
-                    recurse = True
+                w = head[f]
+                if parent_edge[w] == f:
+                    rotations[w].insert(0, f)
+                    left_ref[v] = right_ref[v] = f
+                    stack.append(w)
                     break
-                if side[ei] == 1:
-                    pos = rotations[w].index(right_ref[w])
-                    rotations[w].insert(pos + 1, v)
+                rot = rotations[w]
+                if side[f] == 1:
+                    rot.insert(rot.index(right_ref[w]) + 1, f)
                 else:
-                    pos = rotations[w].index(left_ref[w])
-                    rotations[w].insert(pos, v)
-                    left_ref[w] = v
-            if not recurse:
-                ind3[v] = i
+                    rot.insert(rot.index(left_ref[w]), f)
+                    left_ref[w] = f
+            else:
+                stack.pop()
+            nxt[v] = i
 
-    return [[eid_of[(v, w)] for w in rotations[v]] for v in range(n)]
+    return rotations

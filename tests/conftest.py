@@ -27,6 +27,16 @@ def petersen() -> Graph:
     return Graph(10, tuple(outer + spokes + inner))
 
 
+def disjoint_union(*parts: Graph, isolated: int = 0) -> Graph:
+    """The parts side by side, relabelled in order, then `isolated` extra vertices."""
+    edges: list[tuple[int, int]] = []
+    offset = 0
+    for g in parts:
+        edges.extend((a + offset, b + offset) for a, b in g.edges)
+        offset += g.vertex_count
+    return Graph(offset + isolated, tuple(edges))
+
+
 def random_graph(n: int, m: int, rng: random.Random) -> Graph:
     pairs = list(itertools.combinations(range(n), 2))
     return Graph(n, tuple(rng.sample(pairs, min(m, len(pairs)))))

@@ -393,6 +393,36 @@ def test_cli_reports_unreadable_input_without_traceback(tmp_path, capsys, comman
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["exact", "planarize", "export-ilp", "run", "gen", "aggregate"])
+def test_cli_reports_unwritable_output_without_traceback(tmp_path, capsys, command):
+    # Each used to end in an IsADirectoryError or FileExistsError traceback;
+    # `run` only after the whole suite had run.
+    write_graph(complete_graph(5), tmp_path / "k5.el")
+    k5 = str(tmp_path / "k5.el")
+    if command in ("gen", "aggregate"):
+        bad = tmp_path / "taken.txt"  # a file where a directory should go
+        bad.write_text("")
+    else:
+        bad = tmp_path / {"run": "d.csv", "export-ilp": "d.lp"}.get(command, "d.el")
+        bad.mkdir()
+    if command == "gen":
+        argv = ["gen", "--family", "regular", "--n", "10", "--density", "2", "--out", str(bad)]
+    elif command == "aggregate":
+        records = tmp_path / "rec.csv"
+        emit_records_csv([rec()], records)
+        argv = ["aggregate", "--records", str(records), "--out", str(tmp_path / "agg.csv"),
+                "--plot-dir", str(bad)]
+    elif command == "run":
+        argv = ["run", "--instances", k5, "--algorithms", "bm", "--workers", "1",
+                "--out", str(bad)]
+    else:
+        argv = [command, k5, "--out", str(bad)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: cannot ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_aggregate_and_plot_files_quote_labels(tmp_path):
     def emit(set_label: str) -> dict[str, str]:
         rows = aggregate([

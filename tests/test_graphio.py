@@ -86,19 +86,27 @@ def test_gml_skips_nested_blocks_and_strings(tmp_path):
     assert g.edges == ((0, 1), (1, 2))
 
 
+THREE_NODES = " node [ id 0 ]\n node [ id 1 ]\n node [ id 2 ]\n"
+
+
 @pytest.mark.parametrize(
-    "body",
+    "body, line",
     [
-        ' node [ id 0 label "open ]\n',  # unterminated string
-        " node [ id 0 graphics [ x 1 ]\n",  # unclosed node block
-        " node [ id 0 ]\n node [ id 1 ]\n edge [ source 0 target ]\n",
+        (' node [ id 0 label "open ]\n', 2),  # unterminated string
+        (" node [ id 0 graphics [ x 1 ]\n", 2),  # unclosed node block
+        (" node [ id 0 ]\n node [ id 1 ]\n edge [ source 0 target ]\n", 4),
+        # A repeated id, source or target used to keep its last value silently.
+        (" node [ id 0\n id 1 ]\n", 3),
+        (THREE_NODES + " edge [ source 1 target 2\n target 0 ]\n", 6),
+        (THREE_NODES + " edge [ source 1 target 2\n  SOURCE 0 ]\n", 6),
     ],
-    ids=["unterminated-string", "unclosed-block", "key-without-value"],
+    ids=["unterminated-string", "unclosed-block", "key-without-value",
+         "repeated-node-id", "repeated-edge-target", "repeated-edge-source"],
 )
-def test_gml_malformed_blocks_rejected(tmp_path, body):
+def test_gml_malformed_blocks_rejected(tmp_path, body, line):
     p = tmp_path / "g.gml"
     p.write_text("graph [\n" + body)
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=rf"g\.gml:{line}: "):
         read_graph(p)
 
 

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import disjoint_union
 from maxplanar.generate import gen_regular, gen_scale_free
 from maxplanar.graph import Graph
 from maxplanar.heuristics import grow_maximal, run_algorithm
@@ -29,22 +30,13 @@ ALGORITHMS = ("naive", "bm+", "cactus+")
 SEEDS = (0, 1)
 
 
-def _disjoint_union(*parts: Graph, isolated: int = 0) -> Graph:
-    edges: list[tuple[int, int]] = []
-    offset = 0
-    for g in parts:
-        edges.extend((a + offset, b + offset) for a, b in g.edges)
-        offset += g.vertex_count
-    return Graph(offset + isolated, tuple(edges))
-
-
 def golden_graphs() -> dict[str, Graph]:
     graphs = {}
     for n in (60, 150):
         for d in (3, 5):
             graphs[f"regular_n{n}_d{d}"] = gen_regular(n, 2 * d, n + d)
             graphs[f"scale_free_n{n}_d{d}"] = gen_scale_free(n, d, n + d)
-    graphs["disconnected"] = _disjoint_union(
+    graphs["disconnected"] = disjoint_union(
         gen_regular(40, 6, 1), gen_scale_free(30, 4, 2), gen_regular(12, 2, 3), isolated=3
     )
     return graphs

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import complete_bipartite, complete_graph, disjoint_union
 from maxplanar.generate import GeneratorSpec
 from maxplanar.graph import Graph, subgraph
 from maxplanar.heuristics import run_algorithm
@@ -36,15 +37,6 @@ def _shuffled(g: Graph, seed: int) -> Graph:
     edges = list(g.edges)
     random.Random(seed).shuffle(edges)
     return Graph(g.vertex_count, tuple(edges))
-
-
-def _disjoint_union(*parts: Graph, isolated: int) -> Graph:
-    edges: list[tuple[int, int]] = []
-    offset = 0
-    for g in parts:
-        edges.extend((a + offset, b + offset) for a, b in g.edges)
-        offset += g.vertex_count
-    return Graph(offset + isolated, tuple(edges))
 
 
 def host_specs() -> dict[str, GeneratorSpec]:
@@ -63,12 +55,10 @@ def case_graphs(name: str) -> dict[str, Graph]:
             subgraph(g, run_algorithm(g, "bm", 0).kept)
             for g in (GeneratorSpec("regular", 80, 5, 1).build(), GeneratorSpec("scale_free", 50, 3, 2).build())
         ]
-        g = _disjoint_union(*parts, isolated=4)
+        g = disjoint_union(*parts, isolated=4)
         return {"disconnected": g, "disconnected/shuffled": _shuffled(g, 7)}
     if name == "nonplanar":
-        k5 = Graph(5, tuple((a, b) for a in range(5) for b in range(a + 1, 5)))
-        k33 = Graph(6, tuple((a, b) for a in range(3) for b in range(3, 6)))
-        return {"nonplanar/k5": k5, "nonplanar/k33": k33,
+        return {"nonplanar/k5": complete_graph(5), "nonplanar/k33": complete_bipartite(3, 3),
                 "nonplanar/regular_n50_d5": GeneratorSpec("regular", 50, 5, 55).build()}
     g = host_specs()[name].build()
     cells = {}

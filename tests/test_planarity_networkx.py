@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from maxplanar.graph import Graph, adjacency, connected_components, subgraph
 from maxplanar.planarity import edge_addition_subgraph, embed, is_planar, validate_embedding
 from maxplanar.planarity._engine import edge_addition_run
+from maxplanar.planarity._lr import lr_embedding
 
 nx = pytest.importorskip("networkx")
 
@@ -119,9 +120,12 @@ def test_edge_addition_subgraph_planar_and_spanning(drawn, seed):
 @given(graphs())
 @settings(max_examples=100, deadline=None)
 def test_embedding_valid_on_planar_draws(drawn):
+    # The left-right embedder's verdict is checked on every draw, so that it is
+    # compared with an outside oracle beyond the engine's small-graph agreement.
     g, _ = drawn
-    if not _nx_planar(g):
-        return
-    out = embed(g)
-    assert out.planar
-    validate_embedding(g, out.embedding)
+    planar = _nx_planar(g)
+    assert (lr_embedding(g.vertex_count, g.edges) is not None) == planar
+    if planar:
+        out = embed(g)
+        assert out.planar
+        validate_embedding(g, out.embedding)

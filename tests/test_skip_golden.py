@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import disjoint_union
 from maxplanar.generate import GeneratorSpec
 from maxplanar.graph import Graph
 from maxplanar.planarity import edge_addition_subgraph
@@ -33,13 +34,10 @@ def golden_graphs() -> dict[str, Graph]:
         for n in (60, 300, 1000, 2000):
             for d in (2, 5):
                 graphs[f"{family}_n{n}_d{d}"] = GeneratorSpec(family, n, d, n + d).build()
-    parts = [GeneratorSpec("regular", 80, 5, 1).build(), GeneratorSpec("scale_free", 50, 3, 2).build()]
-    edges: list[tuple[int, int]] = []
-    offset = 0
-    for g in parts:
-        edges.extend((a + offset, b + offset) for a, b in g.edges)
-        offset += g.vertex_count
-    graphs["disconnected"] = Graph(offset + 4, tuple(edges))
+    graphs["disconnected"] = disjoint_union(
+        GeneratorSpec("regular", 80, 5, 1).build(), GeneratorSpec("scale_free", 50, 3, 2).build(),
+        isolated=4,
+    )
     return graphs
 
 
