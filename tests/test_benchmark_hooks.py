@@ -34,3 +34,29 @@ def test_every_benchmark_hook_is_bound():
         tracer.uninstall()
     for module, attr, _, _ in tracing.HOOKS:
         assert not hasattr(getattr(importlib.import_module(module), attr), "__wrapped__")
+
+
+def test_face_trace_hook_fires_once_per_trace(monkeypatch):
+    # The `planarize.face_trace` hook wraps `planarize._trace_faces` by name;
+    # it only measures anything if insertion calls the module global: once
+    # for the first trace and once per deferred edge.
+    import maxplanar.planarize as planarize
+    from maxplanar.generate import GeneratorSpec
+    from maxplanar.heuristics import run_algorithm
+
+    g = GeneratorSpec("regular", 50, 3, 0).build()
+    sub = run_algorithm(g, "cactus+", 0)
+    expected = planarize.insert_edges_fixed(g, sub, 0)
+    calls = []
+    inner = planarize._trace_faces
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(planarize, "_trace_faces", counting)
+    got = planarize.insert_edges_fixed(g, sub, 0)
+    assert len(calls) == 1 + len(g.edges) - len(sub.kept)
+    assert (got.host.edges, got.embedding.rotations, got.origin_map, got.dummy_count) == (
+        expected.host.edges, expected.embedding.rotations, expected.origin_map, expected.dummy_count
+    )

@@ -21,6 +21,7 @@ from maxplanar.planarity import (
 )
 from maxplanar.planarity.api import minimal_nonplanar_subset
 from maxplanar.planarity._lr import lr_embedding
+from maxplanar.planarity.types import Embedding
 from oracles import planar_oracle
 
 
@@ -42,6 +43,26 @@ def test_embed_triangle_euler():
     assert out.planar
     assert len(out.embedding.faces(g)) == 2
     validate_embedding(g, out.embedding)
+
+
+def test_faces_pinned_literally(k4):
+    # Arcs are (tail, edge id); faces come in least-arc order, each starting
+    # at its least arc.  The isolated vertex 7 has no arcs and lies on no face.
+    emb = Embedding(((0, 2, 1), (0, 3, 4), (3, 1, 5), (5, 2, 4)))
+    assert emb.faces(k4) == [
+        [(0, 0), (1, 3), (2, 1)],
+        [(0, 2), (3, 4), (1, 0)],
+        [(0, 1), (2, 5), (3, 2)],
+        [(1, 4), (3, 5), (2, 3)],
+    ]
+    g = Graph(8, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 3), (3, 6)))
+    emb = Embedding(((0, 2), (0, 1), (1, 2), (3, 5, 6), (3, 4), (4, 5), (6,), ()))
+    assert emb.faces(g) == [
+        [(0, 0), (1, 1), (2, 2)],
+        [(0, 2), (2, 1), (1, 0)],
+        [(3, 3), (4, 4), (5, 5), (3, 6), (6, 6)],
+        [(3, 5), (5, 4), (4, 3)],
+    ]
 
 
 def test_embed_k5_witness(k5):

@@ -151,6 +151,45 @@ def test_golden_outputs(family, n, density, algo, dummies, digest):
     assert output_digest(p) == digest
 
 
+# The GOLDEN cells in edge-id order (shuffle=False, seed 0) and with
+# algorithm and insertion seed 1.
+GOLDEN_VARIANTS = (
+    ("regular", 50, 3, "bm", 627, "2382509d2d190b8f0ae1d1ff7f3b84e937a9850530f3b0ac1adb2fa03c9ca3b2", 455, "b44f9ad6a5227f011ca5bafdd43c6cace7dc9405e2433f3be1896d3dbf8a8a16"),
+    ("regular", 50, 3, "cactus", 736, "c8a52fcb6bcf17b2a69e72154e5b1ca4cc262eccd9247eacf4a5d13896ff9331", 660, "67d4ea52b6f5a9a9ebad2fe7abb1404a91848ea0733ea99a3207080dd9a15075"),
+    ("regular", 50, 3, "cactus+", 390, "b076a9d0cf5466356e1f72cee9176be029f3fa1d7461b74e7aceb044a101257b", 467, "34d5c35e719d191ecc925b7a8c4bd59115a65fa25269f1a28c6042fb841d5561"),
+    ("scale_free", 50, 3, "bm", 500, "f210a4340ec84f23bc7f154cdd51fe0ef794b62ae3089e149b1156da7f494d80", 506, "3934dae3f4a44fa1a74adae5e949e4d559dba024e3d2b132126ca94e60fa2634"),
+    ("scale_free", 50, 3, "cactus", 551, "9b7627149f406d3afb5410190f1fc96cecf12fda9acb35faca69b629eba55622", 648, "87e44adb1f4d8c95d94d5905eb1c54f62422178fd5e216c6c2f2b23ec22399d1"),
+    ("scale_free", 50, 3, "cactus+", 428, "c5de5c6883b8bef960a244181bc0d3d68c8be7d378618556ae2000529478080c", 399, "613e11798c5f995dd4d7468a3ad303ff28f8513ec1308988c89a8e28f46707dc"),
+    ("regular", 100, 2, "bm", 602, "c5ad6d3680d357c00172b74f7a226b4974252d37e39e89c582095de4f4f1fa5a", 457, "2e9d96c25facad6dfd208aed3625585fc16c303cbfbebd360d72e924be15546e"),
+    ("regular", 100, 2, "cactus", 708, "fd28913fada0cf6a4f272a6e1886d1db79c951092701624b36e47b0222738457", 607, "4d4c1e36d443e1f4929cb5f822f97235a7d315f53af17ff97ca1c290404ad6ae"),
+    ("regular", 100, 2, "cactus+", 403, "f5a06a5856ed4cac3989f59c3413fa2b2254995366fb367010db8575dbab3faf", 448, "374d727fd30b34caf4d74478e8677495e8bd4983a9ed60dc86dea402d4f52d80"),
+)
+
+
+@pytest.mark.parametrize("family,n,density,algo,dummies,digest,dummies1,digest1", GOLDEN_VARIANTS)
+def test_golden_outputs_unshuffled_and_seed_1(family, n, density, algo, dummies, digest, dummies1, digest1):
+    g = GeneratorSpec(family, n, density, 0).build()
+    p = insert_edges_fixed(g, run_algorithm(g, algo, 0), 0, shuffle=False)
+    assert (p.dummy_count, output_digest(p)) == (dummies, digest)
+    p = insert_edges_fixed(g, run_algorithm(g, algo, 1), 1)
+    assert (p.dummy_count, output_digest(p)) == (dummies1, digest1)
+
+
+# Larger cells: thousands of crossings, long routes through many faces.
+GOLDEN_LARGE = (
+    ("scale_free", 300, 2, "bm", 4778, "8b9fbc70de2cf3953a42be65dc1a5c796a4234daf58002e4f2a74e67515238f6"),
+    ("regular", 120, 3, "cactus+", 2505, "4b16d02214198e7a05a0e926dcbb23a4845af2d7ba5bef90aed15a3619389740"),
+)
+
+
+@pytest.mark.parametrize("family,n,density,algo,dummies,digest", GOLDEN_LARGE)
+def test_golden_outputs_large(family, n, density, algo, dummies, digest):
+    g = GeneratorSpec(family, n, density, 0).build()
+    p = insert_edges_fixed(g, run_algorithm(g, algo, 0), 0)
+    assert p.dummy_count == dummies
+    assert output_digest(p) == digest
+
+
 def test_golden_output_disconnected():
     # Two components plus isolated vertices; dropping the kept edges at three
     # vertices makes some deferred edges join components before others route.
