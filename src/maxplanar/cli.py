@@ -99,6 +99,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         restarts=args.restarts,
         workers=args.workers,
     )
+    emit_records_csv([], args.out)  # an unwritable path fails before any cell runs
     records = run_suite(config)
     emit_records_csv(records, args.out)
     bad = sum(1 for r in records if r.status != "ok")

@@ -28,44 +28,56 @@ class Embedding:
         Faces are ordered by their least arc, where arcs are ordered by (tail
         vertex, index in the tail's rotation), and each list starts there.
         """
-        rots = self.rotations
-        arcs = [(v, e) for v in range(g.vertex_count) for e in rots[v]]
-        return trace_faces(rots, rotation_positions(rots), g.edges, arcs)
+        rot, tail, arc_pos = arc_rotations(self.rotations, g.edges)
+        faces = trace_faces(rot, tail, arc_pos, [a for r in rot for a in r])
+        return [[(tail[a], a >> 1) for a in face] for face in faces]
 
 
-def rotation_positions(rotations: Sequence[Sequence[int]]) -> list[dict[int, int]]:
-    """Per vertex: edge id -> index of the edge in the vertex's rotation."""
-    return [{e: i for i, e in enumerate(rot)} for rot in rotations]
+def arc_rotations(
+    rotations: Sequence[Sequence[int]], edges: Sequence[tuple[int, int]]
+) -> tuple[list[list[int]], list[int], list[int]]:
+    """A rotation system of edge ids as one of integer arcs.
+
+    Arc 2*e + s leaves endpoint s of edge e, so its twin is `a ^ 1` and its
+    edge `a >> 1`.  Returns each vertex's outgoing arcs in rotation order,
+    and per arc its tail vertex and its index in that order.
+    """
+    tail = [v for edge in edges for v in edge]
+    arc_pos = [0] * len(tail)
+    rot: list[list[int]] = []
+    for v, r in enumerate(rotations):
+        arcs = [2 * e + (edges[e][0] != v) for e in r]
+        for i, a in enumerate(arcs):
+            arc_pos[a] = i
+        rot.append(arcs)
+    return rot, tail, arc_pos
 
 
 def trace_faces(
-    rotations: Sequence[Sequence[int]],
-    pos: list[dict[int, int]],
-    edges: Sequence[tuple[int, int]],
-    starts: Iterable[tuple[int, int]],
-) -> list[list[tuple[int, int]]]:
-    """Faces through the arcs `starts` of a rotation system, one per face.
+    rot: Sequence[Sequence[int]],
+    tail: Sequence[int],
+    arc_pos: Sequence[int],
+    starts: Iterable[int],
+) -> list[list[int]]:
+    """Faces through the arcs `starts` of an arc rotation system, one per face.
 
-    The successor of arc (u, e) with head w is the edge after e in w's
-    rotation, leaving w; every directed arc lies on exactly one face.  Each
+    The successor of arc a is the arc after its twin `a ^ 1` in the rotation
+    of the twin's tail (a's head); every arc lies on exactly one face.  Each
     face is listed once, in the order of its first arc in `starts`, as the
-    cyclic arc list beginning at that arc.  `pos` is rotation_positions().
+    cyclic arc list beginning at that arc.  The lists are arc_rotations()'s.
     """
-    faces: list[list[tuple[int, int]]] = []
-    seen: set[tuple[int, int]] = set()
-    for arc in starts:
-        if arc in seen:
+    faces: list[list[int]] = []
+    seen: set[int] = set()
+    for a in starts:
+        if a in seen:
             continue
-        face: list[tuple[int, int]] = []
-        cur = arc
-        while cur not in seen:
-            seen.add(cur)
-            face.append(cur)
-            tail, eid = cur
-            a, b = edges[eid]
-            head = b if tail == a else a
-            rot = rotations[head]
-            cur = (head, rot[(pos[head][eid] + 1) % len(rot)])
+        face: list[int] = []
+        while a not in seen:
+            seen.add(a)
+            face.append(a)
+            a ^= 1
+            r = rot[tail[a]]
+            a = r[(arc_pos[a] + 1) % len(r)]
         faces.append(face)
     return faces
 

@@ -8,23 +8,27 @@ edge); the search starts from all faces incident to one endpoint and stops
 at the first face incident to the other.  No postprocessing, no embedding
 changes: this is the simplest insertion scheme, which is exactly what makes
 the choice of the starting subgraph matter.
+
+Every directed arc is an integer: a new host edge h gets arc 2*h + s leaving
+its endpoint s, so an arc's twin is `a ^ 1` and the edge it crosses `a >> 1`.
+Per arc, lists hold its tail, its face and its index in the tail's rotation
+(a list of outgoing arcs).  Splitting a crossed edge keeps its two arc ids
+and gives the far one the dummy as its tail.  Faces are kept in the
+canonical order of their least arc, (tail, index in the tail's rotation):
+an insertion only inserts arcs into rotations, which shifts indices but
+never reorders the arcs already there, so faces kept across insertions
+route exactly like a fresh trace.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 
 from .graph import DisjointSets, EdgeSet, Graph
 from .heuristics import SubgraphResult
 from .planarity._lr import lr_embedding
-from .planarity.types import (
-    Embedding,
-    NonPlanarStartError,
-    rotation_positions,
-    trace_faces,
-)
+from .planarity.types import Embedding, NonPlanarStartError, arc_rotations, trace_faces
 
 
 @dataclass(frozen=True)
@@ -50,39 +54,30 @@ class PlanarizedGraph:
                 deg[a] = deg.get(a, 0) + 1
                 deg[b] = deg.get(b, 0) + 1
             ends = sorted(v for v, d in deg.items() if d == 1)
-            if len(groups[orig]) == 1:
-                a, b = groups[orig][0]
-                ends = sorted((a, b))
             if len(ends) != 2 or ends[0] >= n or ends[1] >= n:
                 raise AssertionError(f"origin {orig} does not contract to an edge")
             out.append((ends[0], ends[1]))
         return Graph(n, tuple(out))
 
 
-def _arc_key(pos: list[dict[int, int]], arc: tuple[int, int]) -> tuple[int, int]:
-    """Canonical arc order: (tail, index of the edge in the tail's rotation)."""
-    tail, eid = arc
-    return (tail, pos[tail][eid])
-
-
 def _trace_faces(
-    starts: list[tuple[int, int]],
-    rotations: list[list[int]],
-    pos: list[dict[int, int]],
-    host_edges: list[tuple[int, int]],
-    faces: list[list[tuple[int, int]]],
-    arc_face: dict[tuple[int, int], int],
+    starts: list[int],
+    rot: list[list[int]],
+    tail: list[int],
+    arc_pos: list[int],
+    faces: list[list[int]],
+    arc_face: list[int],
     free: list[int],
 ) -> None:
-    """Trace the faces through `starts` into faces / arc_face.
+    """Trace the faces through the arcs `starts` into faces / arc_face.
 
-    Each face is stored rotated to begin at its least arc (_arc_key) and
-    takes an id from `free` if there is one.  Routing reads faces only
-    through that arc order, so faces kept across insertions route like a
-    fresh trace: an insertion shifts a vertex's arc indices, never their order.
+    Each face is stored rotated to begin at its least arc, (tail, arc_pos),
+    and takes an id from `free` if there is one.
     """
-    for face in trace_faces(rotations, pos, host_edges, starts):
-        i = face.index(min(face, key=lambda arc: _arc_key(pos, arc)))
+    k = len(tail)  # exceeds every rotation index: keys order arcs by (tail, arc_pos)
+    for face in trace_faces(rot, tail, arc_pos, starts):
+        keys = [tail[a] * k + arc_pos[a] for a in face]
+        i = keys.index(min(keys))
         face = face[i:] + face[:i]
         if free:
             fid = free.pop()
@@ -90,51 +85,45 @@ def _trace_faces(
         else:
             fid = len(faces)
             faces.append(face)
-        for arc in face:
-            arc_face[arc] = fid
+        for a in face:
+            arc_face[a] = fid
 
 
 def _route(
-    sources: list[int],
-    targets: set[int],
-    faces: list[list[tuple[int, int]]],
-    arc_face: dict[tuple[int, int], int],
+    sources: list[int], targets: set[int], faces: list[list[int]], arc_face: list[int]
 ) -> tuple[list[int], list[int]]:
     """Fewest-crossing face path from a source face to a target face.
 
     Breadth-first search in the dual graph, sources in the given order and a
     face's neighbours in its arc order: the path ends at the target face that
-    is discovered first.  Returns the faces on the path and the edges it
-    crosses.
+    is discovered first.  Returns the faces on the path and, per step, the
+    arc crossed, which lies on the face the step leaves.
     """
-    pred: dict[int, tuple[int, int]] = {}
+    seen = [False] * len(faces)
+    pred = [-1] * len(faces)  # face -> arc crossed into it
+    for f in sources:
+        seen[f] = True
     end = next((f for f in sources if f in targets), -1)
-    seen = set(sources)
-    queue = deque(sources)
-    while end < 0 and queue:
-        fid = queue.popleft()
-        face = faces[fid]
-        # The head of an arc is the tail of the next arc on its face.
-        for (_, hid), (head, _) in zip(face, face[1:] + face[:1]):
-            other = arc_face[(head, hid)]
-            if other not in seen:
-                seen.add(other)
-                pred[other] = (fid, hid)
+    queue = list(sources)  # read while it grows: breadth-first order
+    for fid in queue:
+        if end >= 0:
+            break
+        for a in faces[fid]:
+            other = arc_face[a ^ 1]
+            if not seen[other]:
+                seen[other] = True
+                pred[other] = a
                 if other in targets:
                     end = other
                     break
                 queue.append(other)
     if end < 0:
         raise AssertionError("routing failed inside one component")
-    path = [end]
-    crossed: list[int] = []
-    while path[-1] in pred:
-        prev_fid, via = pred[path[-1]]
-        crossed.append(via)
-        path.append(prev_fid)
-    path.reverse()
-    crossed.reverse()
-    return path, crossed
+    path, crossed = [end], []
+    while (a := pred[path[-1]]) >= 0:
+        crossed.append(a)
+        path.append(arc_face[a])
+    return path[::-1], crossed[::-1]
 
 
 def insert_edges_fixed(
@@ -163,18 +152,26 @@ def insert_edges_fixed(
     for a, b in sub_edges:
         components.union(a, b)
 
-    pos = rotation_positions(rotations)
-    faces: list[list[tuple[int, int]]] = []
-    arc_face: dict[tuple[int, int], int] = {}
+    rot, tail, arc_pos = arc_rotations(rotations, host_edges)
+    faces: list[list[int]] = []
+    arc_face = [0] * len(tail)
     free: list[int] = []  # ids of faces that an insertion destroyed
-    all_arcs = [(x, e) for x, rot in enumerate(rotations) for e in rot]
-    _trace_faces(all_arcs, rotations, pos, host_edges, faces, arc_face, free)
+    _trace_faces([a for r in rot for a in r], rot, tail, arc_pos, faces, arc_face, free)
 
     def corner(fid: int, x: int) -> int:
         """Rotation index at x where an edge entering face fid is inserted:
         that of the first arc leaving x after the face's least arc."""
         face = faces[fid]
-        return next(pos[x][e] for t, e in face[1:] + face[:1] if t == x)
+        return next(arc_pos[a] for a in face[1:] + face[:1] if tail[a] == x)
+
+    def add_edge(edge: tuple[int, int], orig_eid: int) -> int:
+        hid = len(host_edges)
+        host_edges.append(edge)
+        origin.append(orig_eid)
+        tail.extend(edge)
+        arc_pos.extend((0, 0))
+        arc_face.extend((0, 0))
+        return hid
 
     deferred = [e for e in range(len(g.edges)) if e not in kept]
     if shuffle:
@@ -188,77 +185,66 @@ def insert_edges_fixed(
             # Components can always be drawn into a common face: no crossing.
             # Appending closes the faces at the corners before u's and v's
             # first edges into one face.
-            free += [arc_face[(x, rotations[x][0])] for x in (u, v) if rotations[x]]
-            hid = len(host_edges)
-            host_edges.append((u, v))
-            origin.append(orig_eid)
-            for x in (u, v):
-                pos[x][hid] = len(rotations[x])
-                rotations[x].append(hid)
-            _trace_faces([(u, hid)], rotations, pos, host_edges, faces, arc_face, free)
+            free += [arc_face[rot[x][0]] for x in (u, v) if rot[x]]
+            hid = add_edge((u, v), orig_eid)
+            for x, a in ((u, 2 * hid), (v, 2 * hid + 1)):
+                arc_pos[a] = len(rot[x])
+                rot[x].append(a)
+            _trace_faces([2 * hid], rot, tail, arc_pos, faces, arc_face, free)
             continue
 
-        sources = {arc_face[(u, e)] for e in rotations[u]}
-        targets = {arc_face[(v, e)] for e in rotations[v]}
-        path_faces, crossed = _route(
-            sorted(sources, key=lambda f: _arc_key(pos, faces[f][0])), targets, faces, arc_face
+        sources = sorted(  # by least arc
+            {arc_face[a] for a in rot[u]}, key=lambda f: (tail[faces[f][0]], arc_pos[faces[f][0]])
         )
+        targets = {arc_face[a] for a in rot[v]}
+        path_faces, crossed = _route(sources, targets, faces, arc_face)
 
         u_idx = corner(path_faces[0], u)
         v_idx = corner(path_faces[-1], v)
 
-        # Split the crossed edges with dummies (in-place: positions in the
-        # touched rotations are preserved).
+        # Split each crossed edge c = (near, far) at a dummy d: c keeps both
+        # arc ids and now ends at d, and the new edge (d, far) takes the far
+        # arc's place in far's rotation, so no index there shifts.
         points = [u]
-        toward_b: list[int] = []
-        for i, c in enumerate(crossed):
-            a, b = host_edges[c]
-            from_face = path_faces[i]
-            if arc_face[(a, c)] == from_face:
-                ai, bi = a, b
-            else:
-                ai, bi = b, a
-            d = len(rotations)
+        toward_far: list[int] = []
+        for a in crossed:
+            c, f = a >> 1, a ^ 1
+            far = tail[f]
+            d = len(rot)
             dummies += 1
-            host_edges[c] = (ai, d)
-            hid_b = len(host_edges)
-            host_edges.append((d, bi))
-            origin.append(origin[c])
-            rotations[bi][pos[bi][c]] = hid_b
-            pos[bi][hid_b] = pos[bi].pop(c)
-            del arc_face[(bi, c)]
-            rotations.append([])  # filled below
+            host_edges[c] = (tail[a], d)
+            hid = add_edge((d, far), origin[c])
+            rot[far][arc_pos[f]] = 2 * hid + 1
+            arc_pos[2 * hid + 1] = arc_pos[f]
+            tail[f] = d
+            rot.append([])  # filled below
             points.append(d)
-            toward_b.append(hid_b)
+            toward_far.append(hid)
         points.append(v)
 
-        seg_ids: list[int] = []
-        starts: list[tuple[int, int]] = []
-        for p, q in zip(points, points[1:]):
-            hid = len(host_edges)
-            host_edges.append((p, q))
-            origin.append(orig_eid)
-            seg_ids.append(hid)
-            starts += [(p, hid), (q, hid)]
+        segs = [add_edge((p, q), orig_eid) for p, q in zip(points, points[1:])]
 
         # Rotations: corner inserts at the endpoints, alternating order at
         # each dummy so the two original edges cross there.
-        for i, c in enumerate(crossed):
+        for i, a in enumerate(crossed):
             d = points[i + 1]
-            rotations[d] = [c, seg_ids[i], toward_b[i], seg_ids[i + 1]]
-            pos.append({e: j for j, e in enumerate(rotations[d])})
-        for x, idx, hid in ((u, u_idx, seg_ids[0]), (v, v_idx, seg_ids[-1])):
-            rotations[x].insert(idx, hid)
-            for j in range(idx, len(rotations[x])):
-                pos[x][rotations[x][j]] = j
+            rot[d] = [a ^ 1, 2 * segs[i] + 1, 2 * toward_far[i], 2 * segs[i + 1]]
+            for j, b in enumerate(rot[d]):
+                arc_pos[b] = j
+        for x, idx, a in ((u, u_idx, 2 * segs[0]), (v, v_idx, 2 * segs[-1] + 1)):
+            r = rot[x]
+            r.insert(idx, a)
+            for j in range(idx, len(r)):
+                arc_pos[r[j]] = j
 
         # The new path cuts each face on the route in two; every resulting
         # face holds one side of one segment, and no other face changed.
         free += path_faces
-        _trace_faces(starts, rotations, pos, host_edges, faces, arc_face, free)
+        starts = [a for hid in segs for a in (2 * hid, 2 * hid + 1)]
+        _trace_faces(starts, rot, tail, arc_pos, faces, arc_face, free)
 
     host = Graph(n + dummies, tuple(host_edges))
-    emb = Embedding(tuple(tuple(r) for r in rotations))
+    emb = Embedding(tuple(tuple(a >> 1 for a in r) for r in rot))
     return PlanarizedGraph(
         host=host,
         dummy_count=dummies,

@@ -394,9 +394,13 @@ def test_cli_reports_unreadable_input_without_traceback(tmp_path, capsys, comman
 
 
 @pytest.mark.parametrize("command", ["exact", "planarize", "export-ilp", "run", "gen", "aggregate"])
-def test_cli_reports_unwritable_output_without_traceback(tmp_path, capsys, command):
+def test_cli_reports_unwritable_output_without_traceback(tmp_path, capsys, monkeypatch, command):
     # Each used to end in an IsADirectoryError or FileExistsError traceback;
-    # `run` only after the whole suite had run.
+    # `run` only after the whole suite had run.  Now it fails before any cell.
+    def no_suite(config):
+        raise AssertionError("run_suite reached with an unwritable --out")
+
+    monkeypatch.setattr("maxplanar.cli.run_suite", no_suite)
     write_graph(complete_graph(5), tmp_path / "k5.el")
     k5 = str(tmp_path / "k5.el")
     if command in ("gen", "aggregate"):

@@ -13,6 +13,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import maxplanar.planarize as planarize
+from maxplanar.generate import GeneratorSpec
+from maxplanar.heuristics import run_algorithm
+
 TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
 
 
@@ -40,10 +44,6 @@ def test_face_trace_hook_fires_once_per_trace(monkeypatch):
     # The `planarize.face_trace` hook wraps `planarize._trace_faces` by name;
     # it only measures anything if insertion calls the module global: once
     # for the first trace and once per deferred edge.
-    import maxplanar.planarize as planarize
-    from maxplanar.generate import GeneratorSpec
-    from maxplanar.heuristics import run_algorithm
-
     g = GeneratorSpec("regular", 50, 3, 0).build()
     sub = run_algorithm(g, "cactus+", 0)
     expected = planarize.insert_edges_fixed(g, sub, 0)
