@@ -5,7 +5,7 @@ subgraphs, plus a fixed-embedding planarizer, instance generators, and a
 benchmarking harness.
 """
 
-from .graph import DisjointSets, EdgeSet, Graph, GraphError, connected_components, spanning_forest, subgraph
+from .graph import DisjointSets, EdgeSet, Graph, GraphError, connected_components, spanning_forest
 
 __all__ = [
     "DisjointSets",
@@ -14,5 +14,4 @@ __all__ = [
     "GraphError",
     "connected_components",
     "spanning_forest",
-    "subgraph",
 ]

@@ -17,6 +17,7 @@ import math
 import multiprocessing as mp
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable
@@ -71,6 +72,13 @@ class SuiteConfig:
             check_time_limit(self.time_limit_ms)
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        # A repeated key would merge distinct cells in the records and in aggregate().
+        instance_keys = [(r.set_label, r.instance_id) for r in self.instances]
+        for what, keys in (("(set, instance id)", instance_keys),
+                           ("algorithm", self.algorithms), ("seed", self.seeds)):
+            repeats = [k for k, count in Counter(keys).items() if count > 1]
+            if repeats:
+                raise ValueError(f"repeated {what} {repeats[0]!r}")
 
 
 @dataclass(frozen=True)
@@ -154,7 +162,7 @@ def run_cell(
             base = algorithm.removeprefix("planarize:")
             t0 = time.perf_counter()
             sub = run_algorithm(g, base, seed, restarts)
-            planarized = insert_edges_fixed(g, sub, seed)
+            planarized = insert_edges_fixed(g, sub.kept, seed)
             ms = (time.perf_counter() - t0) * 1000.0
             return record("ok", len(sub.kept), ms, planarized.dummy_count)
         sub = run_algorithm(g, algorithm, seed, restarts)
@@ -289,7 +297,8 @@ def _metric_value(rec: BenchmarkRecord, metric: str) -> float | None:
 
 
 def vertex_bucket_10(n: int) -> int:
-    return int(round(n / 10.0)) * 10
+    """n rounded to the nearest multiple of 10, halves up."""
+    return (n + 5) // 10 * 10
 
 
 def aggregate(
@@ -385,9 +394,11 @@ def emit_records_csv(records: list[BenchmarkRecord], path: str | Path) -> None:
 def read_records_csv(path: str | Path) -> list[BenchmarkRecord]:
     """Records from a file written by emit_records_csv.
 
-    A bad header or row raises ValueError naming `path:line`, an unreadable path one naming it.
+    A bad header or row, or a repeated (set, instance, algorithm, seed) cell,
+    raises ValueError naming `path:line`; an unreadable path one naming it.
     """
     records: list[BenchmarkRecord] = []
+    cells: set[tuple[str, str, str, int]] = set()
     reader = csv.reader(read_text(path).splitlines())
     try:
         if next(reader, None) != CSV_HEADER.split(","):
@@ -400,6 +411,10 @@ def read_records_csv(path: str | Path) -> list[BenchmarkRecord]:
                 inst, set_label, int(n), int(m), algo, int(seed), int(kept),
                 float(density), float(ms), status, int(cross) if cross else None,
             ))
+            cell = (set_label, inst, algo, int(seed))
+            if cell in cells:
+                raise ValueError(f"repeated (set, instance, algorithm, seed) {cell!r}")
+            cells.add(cell)
     except (ValueError, csv.Error) as exc:
         raise ValueError(f"{path}:{reader.line_num or 1}: {exc}") from exc
     return records

@@ -138,9 +138,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 def _cmd_planarize(args: argparse.Namespace) -> int:
     g = read_graph(args.instance)
     sub = run_algorithm(g, args.algorithm, args.seed, args.restarts)
-    planarized = insert_edges_fixed(
-        g, sub, args.seed, shuffle=(args.order == "random")
-    )
+    planarized = insert_edges_fixed(g, sub.kept, args.seed, shuffle=(args.order == "random"))
     print(
         f"subgraph={args.algorithm} kept={len(sub.kept)}/{len(g.edges)} "
         f"crossings={planarized.dummy_count}"

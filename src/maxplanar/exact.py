@@ -19,24 +19,13 @@ from .planarity.api import minimal_nonplanar_subset
 from .planarity.types import NonPlanarStartError
 
 
-@dataclass(frozen=True)
-class KuratowskiConstraint:
-    """At least one edge of a Kuratowski subdivision must be removed."""
-
-    edges: EdgeSet
-    rhs: int  # == len(edges) - 1
-
-    def violation(self, x: list[float]) -> float:
-        return sum(x[e] for e in self.edges) - self.rhs
-
-
 @dataclass
 class ExactResult:
     optimal_kept: EdgeSet
     skewness: int
     status: str  # "optimal" or "timeout-incumbent"
     nodes_explored: int
-    constraint_pool: list[KuratowskiConstraint] = field(default_factory=list)
+    constraint_pool: list[EdgeSet] = field(default_factory=list)
 
 
 def _is_planar_ids(g: Graph, present: list[int]) -> bool:
@@ -98,13 +87,7 @@ def exact_skewness(
         best_removed = frozenset(all_ids) - initial_incumbent
     best_skew = len(best_removed) if best_removed is not None else m + 1
 
-    pool: list[KuratowskiConstraint] = []
-    pool_seen: set[frozenset[int]] = set()
-
-    def remember(witness: frozenset[int]) -> None:
-        if witness not in pool_seen:
-            pool_seen.add(witness)
-            pool.append(KuratowskiConstraint(edges=witness, rhs=len(witness) - 1))
+    pool: dict[EdgeSet, None] = {}  # witnesses in first-found order, without repeats
 
     lower_bound = _witness_packing_bound(g, all_ids, deadline)
 
@@ -133,7 +116,7 @@ def exact_skewness(
         if witness is None:
             status = "timeout-incumbent"
             break
-        remember(witness)
+        pool[witness] = None
         branchable = sorted(witness - fixed)
         if not branchable:
             continue  # witness forced intact: no planar completion below
@@ -157,20 +140,21 @@ def exact_skewness(
         skewness=best_skew,
         status=status,
         nodes_explored=nodes,
-        constraint_pool=pool,
+        constraint_pool=list(pool),
     )
 
 
-def export_ilp(g: Graph, pool: list[KuratowskiConstraint]) -> str:
-    """LP-format model: binary x<edge id> per edge, maximize their sum,
-    one row per pooled Kuratowski constraint.  Byte-deterministic."""
+def export_ilp(g: Graph, pool: list[EdgeSet]) -> str:
+    """LP-format model: binary x<edge id> per edge, maximize their sum, and
+    per pooled witness K the row sum(x[K]) <= |K| - 1: at least one edge of K
+    must go.  Byte-deterministic."""
     lines = ["Maximize"]
     lines.append(" obj: " + _wrap_sum([f"x{e}" for e in range(len(g.edges))]))
     if pool:
         lines.append("Subject To")
-        for i, c in enumerate(pool):
-            terms = _wrap_sum([f"x{e}" for e in sorted(c.edges)])
-            lines.append(f" k{i}: {terms} <= {c.rhs}")
+        for i, k in enumerate(pool):
+            terms = _wrap_sum([f"x{e}" for e in sorted(k)])
+            lines.append(f" k{i}: {terms} <= {len(k) - 1}")
     lines.append("Binary")
     for e in range(len(g.edges)):
         lines.append(f" x{e}")

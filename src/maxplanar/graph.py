@@ -8,7 +8,7 @@ Graphs are immutable after construction and safe to share between workers.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # An EdgeSet is a plain frozenset of edge ids of some host Graph.
 EdgeSet = frozenset[int]
@@ -29,8 +29,6 @@ class Graph:
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
-    # Set by subgraph(): position i holds the host edge id of edge i.
-    origin_ids: tuple[int, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.vertex_count < 0:
@@ -50,26 +48,6 @@ class Graph:
     def all_edges(self) -> EdgeSet:
         return frozenset(range(len(self.edges)))
 
-    def neighbor_sets(self) -> list[set[int]]:
-        nbrs: list[set[int]] = [set() for _ in range(self.vertex_count)]
-        for a, b in self.edges:
-            nbrs[a].add(b)
-            nbrs[b].add(a)
-        return nbrs
-
-    def edge_id(self, a: int, b: int) -> int:
-        """Id of the edge {a, b}; raises KeyError if absent."""
-        return self._edge_index()[(a, b) if a < b else (b, a)]
-
-    def _edge_index(self) -> dict[tuple[int, int], int]:
-        idx = getattr(self, "_edge_index_cache", None)
-        if idx is None:
-            idx = {}
-            for eid, (a, b) in enumerate(self.edges):
-                idx[(a, b) if a < b else (b, a)] = eid
-            object.__setattr__(self, "_edge_index_cache", idx)
-        return idx
-
     def check_edge_set(self, keep: EdgeSet) -> None:
         for eid in keep:
             if not (0 <= eid < len(self.edges)):
@@ -83,21 +61,6 @@ def adjacency(n: int, edges: Sequence[tuple[int, int]]) -> list[list[tuple[int, 
         adj[a].append((b, eid))
         adj[b].append((a, eid))
     return adj
-
-
-def subgraph(g: Graph, keep: EdgeSet) -> Graph:
-    """Spanning subgraph of g keeping exactly the edges in `keep`.
-
-    Vertex count is preserved; kept edges appear in host id order and the
-    result records the mapping back to host ids in `origin_ids`.
-    """
-    g.check_edge_set(keep)
-    kept_ids = sorted(keep)
-    return Graph(
-        vertex_count=g.vertex_count,
-        edges=tuple(g.edges[eid] for eid in kept_ids),
-        origin_ids=tuple(kept_ids),
-    )
 
 
 def connected_components(g: Graph) -> list[set[int]]:

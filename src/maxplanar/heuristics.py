@@ -16,7 +16,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .graph import DisjointSets, EdgeSet, Graph
+from .graph import DisjointSets, EdgeSet, Graph, adjacency
 from .planarity import edge_addition_subgraph, is_planar
 from .planarity._engine import edge_addition_run
 from .planarity._kernel import PlanarityKernel
@@ -182,8 +182,8 @@ def build_cactus(g: Graph, seed: int) -> CactusForest:
     Connector phase: remaining components are joined by edges in id order.
     """
     n = g.vertex_count
-    nbr_sets = g.neighbor_sets()
-    nbr_sorted = [sorted(s) for s in nbr_sets]
+    # Per vertex: {neighbour: edge id}, neighbours in ascending order.
+    nbrs = [dict(sorted(row)) for row in adjacency(n, g.edges)]
     ds = DisjointSets(n)
     rng = random.Random(seed)
     order = list(range(len(g.edges)))
@@ -198,11 +198,11 @@ def build_cactus(g: Graph, seed: int) -> CactusForest:
             ru, rv = ds.find(u), ds.find(v)
             if ru == rv:
                 continue
-            if len(nbr_sorted[u]) > len(nbr_sorted[v]):
+            if len(nbrs[u]) > len(nbrs[v]):
                 u, v = v, u
             hit = None
-            big = nbr_sets[v]
-            for w in nbr_sorted[u]:
+            big = nbrs[v]
+            for w in nbrs[u]:
                 if w in big:
                     rw = ds.find(w)
                     if rw != ru and rw != rv:
@@ -214,8 +214,8 @@ def build_cactus(g: Graph, seed: int) -> CactusForest:
             ds.union(u, v)
             ds.union(u, w)
             tri_edges.add(eid)
-            tri_edges.add(g.edge_id(u, w))
-            tri_edges.add(g.edge_id(v, w))
+            tri_edges.add(nbrs[u][w])
+            tri_edges.add(big[w])
             a, b = g.edges[eid]
             triangles.append((a, b, w))
             added = True

@@ -26,7 +26,6 @@ import random
 from dataclasses import dataclass
 
 from .graph import DisjointSets, EdgeSet, Graph
-from .heuristics import SubgraphResult
 from .planarity._lr import lr_embedding
 from .planarity.types import Embedding, NonPlanarStartError, arc_rotations, trace_faces
 
@@ -126,9 +125,7 @@ def _route(
     return path[::-1], crossed[::-1]
 
 
-def insert_edges_fixed(
-    g: Graph, sub: SubgraphResult | EdgeSet, seed: int, shuffle: bool = True
-) -> PlanarizedGraph:
+def insert_edges_fixed(g: Graph, kept: EdgeSet, seed: int, shuffle: bool = True) -> PlanarizedGraph:
     """Insert all non-subgraph edges into a fixed embedding of the subgraph.
 
     Deferred edges are processed in seed-shuffled order (edge-id order with
@@ -137,7 +134,7 @@ def insert_edges_fixed(
     (least arc first).  Faces are traced once; an insertion re-traces only
     the faces it changes.
     """
-    kept = sub.kept if isinstance(sub, SubgraphResult) else frozenset(sub)
+    kept = frozenset(kept)
     g.check_edge_set(kept)
     n = g.vertex_count
     kept_ids = sorted(kept)

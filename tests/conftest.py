@@ -37,6 +37,11 @@ def disjoint_union(*parts: Graph, isolated: int = 0) -> Graph:
     return Graph(offset + isolated, tuple(edges))
 
 
+def spanning_subgraph(g: Graph, ids) -> Graph:
+    """g's vertices with only the edges `ids`, renumbered in id order."""
+    return Graph(g.vertex_count, tuple(g.edges[e] for e in sorted(ids)))
+
+
 def random_graph(n: int, m: int, rng: random.Random) -> Graph:
     pairs = list(itertools.combinations(range(n), 2))
     return Graph(n, tuple(rng.sample(pairs, min(m, len(pairs)))))

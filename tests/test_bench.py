@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+import re
 import signal
 import time
 
@@ -121,6 +122,8 @@ def test_aggregate_relative_density_pair():
 def test_vertex_buckets():
     assert vertex_bucket_10(24) == 20
     assert vertex_bucket_10(26) == 30
+    # Halves round up, never to even.
+    assert [vertex_bucket_10(n) for n in (5, 15, 25, 35)] == [10, 20, 30, 40]
 
 
 def test_aggregate_all_equal_gives_ones():
@@ -298,6 +301,42 @@ def test_cli_planarize_and_exact(tmp_path, capsys):
 def test_suite_config_rejects_invalid_settings(field, value):
     with pytest.raises(ValueError, match=field):
         SuiteConfig(instances=(k5_ref(),), algorithms=("naive",), seeds=(0,), **{field: value})
+
+
+@pytest.mark.parametrize("field, value, repeated", [
+    ("instances", (k5_ref(), InstanceRef("k5", "named", graph=complete_graph(4))), "('named', 'k5')"),
+    ("algorithms", ("bm", "cactus", "bm"), "'bm'"),
+    ("seeds", (0, 1, 1), "1"),
+])
+def test_suite_config_rejects_repeated_keys(field, value, repeated):
+    settings = {"instances": (k5_ref(),), "algorithms": ("bm",), "seeds": (0,), field: value}
+    with pytest.raises(ValueError, match=re.escape(f" {repeated}")):
+        SuiteConfig(**settings)
+    # The same instance id in two sets names two cells.
+    SuiteConfig(instances=(k5_ref(), InstanceRef("k5", "other", graph=complete_graph(4))),
+                algorithms=("bm",), seeds=(0,))
+
+
+def test_cli_run_refuses_two_files_with_one_stem(tmp_path, capsys):
+    for sub, g in (("a", complete_graph(4)), ("b", complete_graph(5))):
+        (tmp_path / sub).mkdir()
+        write_graph(g, tmp_path / sub / "x.el")
+    out = tmp_path / "rec.csv"
+    argv = ["run", "--instances", str(tmp_path / "a" / "x.el"), str(tmp_path / "b" / "x.el"),
+            "--algorithms", "cactus", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "('files', 'x')" in err and "Traceback" not in err
+    assert not out.exists()  # refused before any cell runs
+
+
+def test_read_records_csv_refuses_repeated_cell(tmp_path):
+    p = tmp_path / "r.csv"
+    emit_records_csv([rec(algorithm="a"), rec(algorithm="b"), rec(algorithm="a", kept=5)], p)
+    with pytest.raises(ValueError, match=r"r\.csv:4: repeated .*'a', 0\)"):
+        read_records_csv(p)
+    emit_records_csv([rec(seed=0), rec(seed=1), rec(set_label="t"), rec(instance="j")], p)
+    assert len(read_records_csv(p)) == 4
 
 
 @pytest.mark.parametrize("argv", [

@@ -46,7 +46,7 @@ def test_face_trace_hook_fires_once_per_trace(monkeypatch):
     # for the first trace and once per deferred edge.
     g = GeneratorSpec("regular", 50, 3, 0).build()
     sub = run_algorithm(g, "cactus+", 0)
-    expected = planarize.insert_edges_fixed(g, sub, 0)
+    expected = planarize.insert_edges_fixed(g, sub.kept, 0)
     calls = []
     inner = planarize._trace_faces
 
@@ -55,7 +55,7 @@ def test_face_trace_hook_fires_once_per_trace(monkeypatch):
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(planarize, "_trace_faces", counting)
-    got = planarize.insert_edges_fixed(g, sub, 0)
+    got = planarize.insert_edges_fixed(g, sub.kept, 0)
     assert len(calls) == 1 + len(g.edges) - len(sub.kept)
     assert (got.host.edges, got.embedding.rotations, got.origin_map, got.dummy_count) == (
         expected.host.edges, expected.embedding.rotations, expected.origin_map, expected.dummy_count

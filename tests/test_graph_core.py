@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complete_graph, random_graph
+from conftest import random_graph, spanning_subgraph
 from maxplanar.graph import (
     DisjointSets,
     Graph,
     GraphError,
+    adjacency,
     connected_components,
     spanning_forest,
-    subgraph,
 )
 
 
@@ -32,24 +32,9 @@ def test_rejects_out_of_range_endpoint():
         Graph(2, ((0, 2),))
 
 
-def test_subgraph_identity(k5):
-    sub = subgraph(k5, k5.all_edges())
-    assert sub.edges == k5.edges
-    assert sub.vertex_count == 5
-    assert sub.origin_ids == tuple(range(10))
-
-
-def test_subgraph_empty(k5):
-    sub = subgraph(k5, frozenset())
-    assert sub.vertex_count == 5
-    assert sub.edges == ()
-
-
 def test_subgraph_triangle_of_k4(k4):
-    tri = frozenset(
-        k4.edge_id(a, b) for a, b in [(0, 1), (1, 2), (0, 2)]
-    )
-    sub = subgraph(k4, tri)
+    tri = frozenset(eid for eid, e in enumerate(k4.edges) if 3 not in e)
+    sub = spanning_subgraph(k4, tri)
     assert sub.vertex_count == 4
     assert set(sub.edges) == {(0, 1), (0, 2), (1, 2)}
     assert len(connected_components(sub)) == 2  # triangle + isolated vertex
@@ -72,7 +57,7 @@ def test_connected_components_two_triangles():
 def test_spanning_forest_k5(k5):
     forest = spanning_forest(k5)
     assert len(forest) == 4
-    assert connected_components(subgraph(k5, forest)) == [set(range(5))]
+    assert connected_components(spanning_subgraph(k5, forest)) == [set(range(5))]
 
 
 def test_spanning_forest_of_tree():
@@ -84,21 +69,7 @@ def test_spanning_forest_two_triangles():
     g = Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
     forest = spanning_forest(g)
     assert len(forest) == 4
-    assert connected_components(subgraph(g, forest)) == connected_components(g)
-
-
-@given(st.data())
-@settings(max_examples=60, deadline=None)
-def test_subgraph_edge_count_property(data):
-    rng = random.Random(data.draw(st.integers(0, 2**30)))
-    n = data.draw(st.integers(1, 12))
-    m = data.draw(st.integers(0, n * (n - 1) // 2))
-    g = random_graph(n, m, rng)
-    keep_ids = data.draw(
-        st.sets(st.integers(0, max(0, len(g.edges) - 1)), max_size=len(g.edges))
-    ) if g.edges else set()
-    keep = frozenset(keep_ids)
-    assert len(subgraph(g, keep).edges) == len(keep)
+    assert connected_components(spanning_subgraph(g, forest)) == connected_components(g)
 
 
 @given(st.data())
@@ -112,7 +83,7 @@ def test_spanning_forest_properties(data):
     comps = connected_components(g)
     assert len(forest) == g.vertex_count - len(comps)
     # acyclic and spanning: same partition, and edge count == n - #components
-    fsub = subgraph(g, forest)
+    fsub = spanning_subgraph(g, forest)
     assert connected_components(fsub) == comps
 
 
@@ -125,9 +96,12 @@ def test_disjoint_sets_basics():
     assert len({ds.find(v) for v in range(4)}) == 3
 
 
-def test_edge_id_lookup(k4):
+def test_adjacency_lists_neighbour_and_edge_id(k4):
+    adj = adjacency(k4.vertex_count, k4.edges)
     for eid, (a, b) in enumerate(k4.edges):
-        assert k4.edge_id(a, b) == eid
-        assert k4.edge_id(b, a) == eid
-    with pytest.raises(KeyError):
-        complete_graph(3).edge_id(0, 3)
+        assert (b, eid) in adj[a]
+        assert (a, eid) in adj[b]
+    # Each row is in edge-id order, one entry per incident edge.
+    assert adj == [[(1, 0), (2, 1), (3, 2)], [(0, 0), (2, 3), (3, 4)],
+                   [(0, 1), (1, 3), (3, 5)], [(0, 2), (1, 4), (2, 5)]]
+    assert adjacency(3, ()) == [[], [], []]

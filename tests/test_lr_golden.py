@@ -22,9 +22,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import complete_bipartite, complete_graph, disjoint_union
+from conftest import complete_bipartite, complete_graph, disjoint_union, spanning_subgraph
 from maxplanar.generate import GeneratorSpec
-from maxplanar.graph import Graph, subgraph
+from maxplanar.graph import Graph
 from maxplanar.heuristics import run_algorithm
 from maxplanar.planarity._lr import lr_embedding
 
@@ -52,7 +52,7 @@ def case_graphs(name: str) -> dict[str, Graph]:
     """The graphs pinned under one test id, keyed by cell name."""
     if name == "disconnected":
         parts = [
-            subgraph(g, run_algorithm(g, "bm", 0).kept)
+            spanning_subgraph(g, run_algorithm(g, "bm", 0).kept)
             for g in (GeneratorSpec("regular", 80, 5, 1).build(), GeneratorSpec("scale_free", 50, 3, 2).build())
         ]
         g = disjoint_union(*parts, isolated=4)
@@ -64,7 +64,7 @@ def case_graphs(name: str) -> dict[str, Graph]:
     cells = {}
     for algo in ALGORITHMS:
         for seed in SEEDS:
-            sub = subgraph(g, run_algorithm(g, algo, seed).kept)
+            sub = spanning_subgraph(g, run_algorithm(g, algo, seed).kept)
             cells[f"{name}/{algo}/{seed}"] = sub
             cells[f"{name}/{algo}/{seed}/shuffled"] = _shuffled(sub, seed)
     return cells

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import petersen, random_graph
-from maxplanar.graph import Graph, connected_components, spanning_forest, subgraph
+from conftest import petersen, random_graph, spanning_subgraph
+from maxplanar.graph import Graph, connected_components, spanning_forest
 from maxplanar.planarity import (
     PlanarGraphError,
     classify_witness,
@@ -72,7 +72,7 @@ def test_embed_k5_witness(k5):
     assert w.kind == "K5"
     assert w.branch_vertices == (0, 1, 2, 3, 4)
     assert witness_is_valid(k5, w)
-    assert not is_planar(subgraph(k5, w.edges))
+    assert not is_planar(k5, w.edges)
 
 
 def test_embed_petersen_witness(petersen_graph):
@@ -124,21 +124,21 @@ def test_edge_addition_subgraph_k5(k5):
     for seed in range(8):
         kept = edge_addition_subgraph(k5, seed)
         assert len(kept) == 9  # skewness(K5) = 1: exactly one backedge skipped
-        assert is_planar(subgraph(k5, kept))
+        assert is_planar(k5, kept)
 
 
 def test_edge_addition_subgraph_k33(k33):
     for seed in range(8):
         kept = edge_addition_subgraph(k33, seed)
         assert len(kept) == 8
-        assert is_planar(subgraph(k33, kept))
+        assert is_planar(k33, kept)
 
 
 def test_edge_addition_subgraph_petersen(petersen_graph):
     for seed in range(5):
         kept = edge_addition_subgraph(petersen_graph, seed)
         assert 9 <= len(kept) <= 13  # spanning tree .. m - skewness
-        sub = subgraph(petersen_graph, kept)
+        sub = spanning_subgraph(petersen_graph, kept)
         assert is_planar(sub)
         assert connected_components(sub) == connected_components(petersen_graph)
 
@@ -148,7 +148,7 @@ def test_edge_addition_subgraph_contains_spanning_structure():
     for _ in range(20):
         g = random_graph(rng.randint(2, 30), rng.randint(0, 60), rng)
         kept = edge_addition_subgraph(g, 11)
-        sub = subgraph(g, kept)
+        sub = spanning_subgraph(g, kept)
         assert is_planar(sub)
         assert connected_components(sub) == connected_components(g)
         assert len(kept) >= len(spanning_forest(g))

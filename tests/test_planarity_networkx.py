@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxplanar.graph import Graph, adjacency, connected_components, subgraph
+from conftest import spanning_subgraph
+from maxplanar.graph import Graph, adjacency, connected_components
 from maxplanar.planarity import edge_addition_subgraph, embed, is_planar, validate_embedding
 from maxplanar.planarity._engine import edge_addition_run
 from maxplanar.planarity._lr import lr_embedding
@@ -114,7 +115,7 @@ def test_edge_addition_subgraph_planar_and_spanning(drawn, seed):
     g, _ = drawn
     kept = edge_addition_subgraph(g, seed)
     assert _nx_planar(g, kept)
-    assert connected_components(subgraph(g, kept)) == connected_components(g)
+    assert connected_components(spanning_subgraph(g, kept)) == connected_components(g)
 
 
 @given(graphs())

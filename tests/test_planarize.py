@@ -8,8 +8,8 @@ import pytest
 from conftest import random_graph
 from maxplanar.exact import exact_skewness
 from maxplanar.generate import GeneratorSpec
-from maxplanar.graph import Graph, subgraph
-from maxplanar.heuristics import SubgraphResult, cactus_plus, cactus_subgraph, run_algorithm
+from maxplanar.graph import Graph
+from maxplanar.heuristics import cactus_plus, cactus_subgraph, run_algorithm
 from maxplanar.planarity import is_planar, validate_embedding
 from maxplanar.planarity.types import NonPlanarStartError
 from maxplanar.planarize import insert_edges_fixed
@@ -77,7 +77,7 @@ def test_euler_holds_after_each_insertion():
     # insert one more edge each round; the embedding must stay valid
     for upto in range(len(deferred) + 1):
         sub = frozenset(kept) | frozenset(deferred[upto:])
-        if not is_planar(subgraph(g, sub)):
+        if not is_planar(g, sub):
             continue
         p = insert_edges_fixed(g, sub, 0, shuffle=False)
         validate_embedding(p.host, p.embedding)
@@ -88,18 +88,19 @@ def test_round_trip_random_instances():
     for trial in range(15):
         n = rng.randint(6, 30)
         g = random_graph(n, rng.randint(n, 3 * n), rng)
-        sub = cactus_plus(g, trial)
-        p = insert_edges_fixed(g, sub, trial)
+        p = insert_edges_fixed(g, cactus_plus(g, trial).kept, trial)
         validate_embedding(p.host, p.embedding)
         assert normalized(p.recover_original()) == normalized(g)
         assert is_planar(p.host)
 
 
-def test_accepts_subgraph_result_objects(k5):
-    sub = cactus_plus(k5, 0)
-    assert isinstance(sub, SubgraphResult)
-    p = insert_edges_fixed(k5, sub, 0)
-    assert p.dummy_count == 1
+def test_accepts_any_edge_id_collection(k5):
+    kept = cactus_plus(k5, 0).kept
+    want = insert_edges_fixed(k5, kept, 0)
+    assert want.dummy_count == 1
+    for ids in (sorted(kept), set(kept), iter(sorted(kept, reverse=True))):
+        p = insert_edges_fixed(k5, ids, 0)
+        assert (p.host, p.embedding, p.origin_map) == (want.host, want.embedding, want.origin_map)
 
 
 def test_disconnected_components_insert_without_crossings():
@@ -116,9 +117,9 @@ def test_disconnected_components_insert_without_crossings():
 def test_id_order_is_reproducible():
     rng = random.Random(12)
     g = random_graph(14, 30, rng)
-    sub = cactus_subgraph(g, 0)
-    a = insert_edges_fixed(g, sub, 0, shuffle=False)
-    b = insert_edges_fixed(g, sub, 99, shuffle=False)
+    kept = cactus_subgraph(g, 0).kept
+    a = insert_edges_fixed(g, kept, 0, shuffle=False)
+    b = insert_edges_fixed(g, kept, 99, shuffle=False)
     assert a.host.edges == b.host.edges
     assert a.dummy_count == b.dummy_count
 
@@ -146,7 +147,7 @@ GOLDEN = (
 @pytest.mark.parametrize("family,n,density,algo,dummies,digest", GOLDEN)
 def test_golden_outputs(family, n, density, algo, dummies, digest):
     g = GeneratorSpec(family, n, density, 0).build()
-    p = insert_edges_fixed(g, run_algorithm(g, algo, 0), 0)
+    p = insert_edges_fixed(g, run_algorithm(g, algo, 0).kept, 0)
     assert p.dummy_count == dummies
     assert output_digest(p) == digest
 
@@ -169,9 +170,9 @@ GOLDEN_VARIANTS = (
 @pytest.mark.parametrize("family,n,density,algo,dummies,digest,dummies1,digest1", GOLDEN_VARIANTS)
 def test_golden_outputs_unshuffled_and_seed_1(family, n, density, algo, dummies, digest, dummies1, digest1):
     g = GeneratorSpec(family, n, density, 0).build()
-    p = insert_edges_fixed(g, run_algorithm(g, algo, 0), 0, shuffle=False)
+    p = insert_edges_fixed(g, run_algorithm(g, algo, 0).kept, 0, shuffle=False)
     assert (p.dummy_count, output_digest(p)) == (dummies, digest)
-    p = insert_edges_fixed(g, run_algorithm(g, algo, 1), 1)
+    p = insert_edges_fixed(g, run_algorithm(g, algo, 1).kept, 1)
     assert (p.dummy_count, output_digest(p)) == (dummies1, digest1)
 
 
@@ -185,7 +186,7 @@ GOLDEN_LARGE = (
 @pytest.mark.parametrize("family,n,density,algo,dummies,digest", GOLDEN_LARGE)
 def test_golden_outputs_large(family, n, density, algo, dummies, digest):
     g = GeneratorSpec(family, n, density, 0).build()
-    p = insert_edges_fixed(g, run_algorithm(g, algo, 0), 0)
+    p = insert_edges_fixed(g, run_algorithm(g, algo, 0).kept, 0)
     assert p.dummy_count == dummies
     assert output_digest(p) == digest
 
