@@ -324,7 +324,7 @@ def aggregate(
         if grouping == "vertex_bucket_10":
             return f"{rec.set_label}:{vertex_bucket_10(rec.n)}"
         if grouping == "density_class":
-            cls = int(round(rec.m / rec.n)) if rec.n else 0
+            cls = (2 * rec.m + rec.n) // (2 * rec.n) if rec.n else 0  # m/n, halves up
             return f"{rec.set_label}:{cls}"
         raise ValueError(f"unknown grouping {grouping!r}")
 

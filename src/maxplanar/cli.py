@@ -127,7 +127,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     print(
         f"skewness={result.skewness} kept={len(result.optimal_kept)} "
         f"status={result.status} nodes={result.nodes_explored} "
-        f"constraints={len(result.constraint_pool)}"
+        f"bound={result.lower_bound} constraints={len(result.constraint_pool)}"
     )
     if args.out:
         write_subgraph(g, result.optimal_kept, args.out)

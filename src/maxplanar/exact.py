@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .graph import EdgeSet, Graph, spanning_forest
+from .graph import EdgeSet, Graph, connected_components, spanning_forest
 from .planarity._engine import edge_addition_run
 from .planarity.api import minimal_nonplanar_subset
 from .planarity.types import NonPlanarStartError
@@ -26,6 +26,7 @@ class ExactResult:
     status: str  # "optimal" or "timeout-incumbent"
     nodes_explored: int
     constraint_pool: list[EdgeSet] = field(default_factory=list)
+    lower_bound: int = 0
 
 
 def _is_planar_ids(g: Graph, present: list[int]) -> bool:
@@ -52,6 +53,24 @@ def _witness_packing_bound(g: Graph, all_ids: list[int], deadline: float) -> int
     return bound
 
 
+def _euler_rows(g: Graph) -> list[tuple[list[int], int]]:
+    """(edge ids, 3n_c - 6) per connected component on n_c >= 3 vertices
+    with more edges than a simple planar graph on n_c vertices can keep."""
+    comps = connected_components(g)
+    where = [0] * g.vertex_count
+    for i, comp in enumerate(comps):
+        for v in comp:
+            where[v] = i
+    ids: list[list[int]] = [[] for _ in comps]
+    for e, (a, _) in enumerate(g.edges):
+        ids[where[a]].append(e)
+    return [
+        (es, 3 * len(comp) - 6)
+        for comp, es in zip(comps, ids)
+        if len(comp) >= 3 and len(es) > 3 * len(comp) - 6
+    ]
+
+
 def check_time_limit(time_limit_ms: float) -> None:
     """Refuse a limit that is not positive, NaN included: no deadline check fires on NaN."""
     if not time_limit_ms > 0:
@@ -73,6 +92,8 @@ def exact_skewness(
     expansion time, so a better starting incumbent never explores more nodes.
     A non-planar node with |R| + 1 >= incumbent is pruned before its witness
     is extracted: every child removes one more edge and could only tie.
+    The search stops once the incumbent meets the lower bound, the larger of
+    Euler's bound per component and a greedy witness packing.
     """
     check_time_limit(time_limit_ms)
     m = len(g.edges)
@@ -89,7 +110,12 @@ def exact_skewness(
 
     pool: dict[EdgeSet, None] = {}  # witnesses in first-found order, without repeats
 
-    lower_bound = _witness_packing_bound(g, all_ids, deadline)
+    # Euler per component first.  A witness has at least 9 edges, so an
+    # edge-disjoint packing counts at most m // 9: run it only when it could
+    # raise the bound and the bound does not already close the search.
+    lower_bound = sum(len(es) - cap for es, cap in _euler_rows(g))
+    if lower_bound < min(best_skew, m // 9):
+        lower_bound = max(lower_bound, _witness_packing_bound(g, all_ids, deadline))
 
     nodes = 0
     status = "optimal"
@@ -141,17 +167,22 @@ def exact_skewness(
         status=status,
         nodes_explored=nodes,
         constraint_pool=list(pool),
+        lower_bound=lower_bound,
     )
 
 
 def export_ilp(g: Graph, pool: list[EdgeSet]) -> str:
-    """LP-format model: binary x<edge id> per edge, maximize their sum, and
-    per pooled witness K the row sum(x[K]) <= |K| - 1: at least one edge of K
-    must go.  Byte-deterministic."""
+    """LP-format model: binary x<edge id> per edge, maximize their sum,
+    per component C with more than 3|V(C)| - 6 edges the Euler row
+    sum(x[E(C)]) <= 3|V(C)| - 6, and per pooled witness K the row
+    sum(x[K]) <= |K| - 1: at least one edge of K must go.  Byte-deterministic."""
     lines = ["Maximize"]
     lines.append(" obj: " + _wrap_sum([f"x{e}" for e in range(len(g.edges))]))
-    if pool:
+    euler = _euler_rows(g)
+    if euler or pool:
         lines.append("Subject To")
+        for i, (es, cap) in enumerate(euler):
+            lines.append(f" e{i}: {_wrap_sum([f'x{e}' for e in es])} <= {cap}")
         for i, k in enumerate(pool):
             terms = _wrap_sum([f"x{e}" for e in sorted(k)])
             lines.append(f" k{i}: {terms} <= {len(k) - 1}")

@@ -7,7 +7,7 @@ Graphs are immutable after construction and safe to share between workers.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 
 # An EdgeSet is a plain frozenset of edge ids of some host Graph.
@@ -48,10 +48,11 @@ class Graph:
     def all_edges(self) -> EdgeSet:
         return frozenset(range(len(self.edges)))
 
-    def check_edge_set(self, keep: EdgeSet) -> None:
-        for eid in keep:
-            if not (0 <= eid < len(self.edges)):
-                raise GraphError(f"edge id {eid} not in host graph")
+    def check_edge_set(self, keep: Collection[int]) -> None:
+        """Raise GraphError naming an id of `keep` that is not an edge id here."""
+        if keep and (min(keep) < 0 or max(keep) >= len(self.edges)):
+            bad = min(keep) if min(keep) < 0 else max(keep)
+            raise GraphError(f"edge id {bad} not in host graph")
 
 
 def adjacency(n: int, edges: Sequence[tuple[int, int]]) -> list[list[tuple[int, int]]]:

@@ -14,8 +14,14 @@ from .types import Embedding, KuratowskiSubdivision, PlanarGraphError, Planarity
 
 
 def is_planar(g: Graph, ids: Iterable[int] | None = None) -> bool:
-    """Planarity of g, or of its spanning subgraph on the edge ids `ids`."""
-    edges = g.edges if ids is None else [g.edges[e] for e in ids]
+    """Planarity of g, or of its spanning subgraph on the edge ids `ids`.
+    Raises GraphError on an id that is not an edge of g."""
+    if ids is None:
+        edges = g.edges
+    else:
+        ids = list(ids)
+        g.check_edge_set(ids)
+        edges = [g.edges[e] for e in ids]
     planar, _ = edge_addition_run(g.vertex_count, edges)
     return planar
 

@@ -126,6 +126,13 @@ def test_vertex_buckets():
     assert [vertex_bucket_10(n) for n in (5, 15, 25, 35)] == [10, 20, 30, 40]
 
 
+def test_density_classes_round_halves_up():
+    # m/n = 2.5 and 3.5 go up, as vertex buckets do, not to the even class.
+    records = [rec(instance=str(m), n=2, m=m, kept=1) for m in (4, 5, 7)]
+    groups = sorted(r.group_key for r in aggregate(records, "density_class", "density"))
+    assert groups == ["s:2", "s:3", "s:4"]
+
+
 def test_aggregate_all_equal_gives_ones():
     records = [rec(algorithm=a, kept=7) for a in "abc"]
     rows = aggregate(records)
@@ -287,7 +294,7 @@ def test_cli_planarize_and_exact(tmp_path, capsys):
     write_graph(complete_graph(6), tmp_path / "k6.el")
     assert main(["exact", str(tmp_path / "k6.el"), "--time-limit-ms", "5000"]) == 0
     out = capsys.readouterr().out
-    assert "skewness=3" in out
+    assert "skewness=3" in out and "nodes=0 bound=3 " in out
     assert main([
         "planarize", str(tmp_path / "k6.el"), "--algorithm", "cactus+",
     ]) == 0

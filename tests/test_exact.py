@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import complete_bipartite, complete_graph, petersen, random_graph
+from maxplanar.bench import exact_from_cactus_plus
 from maxplanar.exact import exact_skewness, export_ilp
 from maxplanar.generate import gen_regular
-from maxplanar.graph import spanning_forest
+from maxplanar.graph import Graph, spanning_forest
 from maxplanar.heuristics import cactus_plus
 from maxplanar.planarity import is_planar
 from maxplanar.planarity.types import NonPlanarStartError
@@ -81,8 +82,9 @@ def test_monotone_pruning():
 
 
 def test_timeout_yields_incumbent():
-    # dense enough that a millisecond budget cannot finish
-    g = complete_graph(9)
+    # Euler's bound is 6 against a cactus+ skewness of 36, and the packing
+    # still runs: a millisecond budget cannot finish.
+    g = gen_regular(30, 6, 0)
     inc = cactus_plus(g, 0).kept
     r = exact_skewness(g, 1, initial_incumbent=inc)
     assert r.status == "timeout-incumbent"
@@ -90,18 +92,49 @@ def test_timeout_yields_incumbent():
     assert is_planar(g, r.optimal_kept)
 
 
-def test_deadline_honoured_in_bound_and_extraction():
-    # Untimed, the witness-packing bound alone takes about 50 s on these 2,500 edges.
-    g = gen_regular(500, 10, 0)
+def _two_k6() -> Graph:
+    k6 = complete_graph(6)
+    return Graph(12, k6.edges + tuple((a + 6, b + 6) for a, b in k6.edges))
+
+
+# A maximal planar subgraph of K_n is a triangulation, so the cactus+ incumbent
+# meets Euler's bound, m - (3n - 6), and no node is explored.  Two disjoint K6
+# have 30 = 3 * 12 - 6 edges: only the per-component sum, 3 + 3, closes them.
+@pytest.mark.parametrize(
+    "g, skew",
+    [(complete_graph(n), n * (n - 1) // 2 - (3 * n - 6)) for n in range(5, 10)] + [(_two_k6(), 6)],
+    ids=["K5", "K6", "K7", "K8", "K9", "2xK6"],
+)
+def test_euler_bound_closes_without_search(g, skew):
+    r = exact_skewness(g, 60_000, initial_incumbent=cactus_plus(g, 0).kept)
+    assert (r.status, r.nodes_explored) == ("optimal", 0)
+    assert r.skewness == r.lower_bound == skew
+
+
+def _assert_cut_to_spanning_forest(g, nodes):
     t0 = time.monotonic()
     r = exact_skewness(g, 2000)
     elapsed = time.monotonic() - t0
     assert elapsed < 4.0
     assert r.status == "timeout-incumbent"
+    assert r.nodes_explored == nodes
     assert is_planar(g, r.optimal_kept)
-    # No node is reached before the deadline: the answer is a spanning forest.
+    # No planar node is reached before the deadline: the answer is a spanning forest.
     assert len(r.optimal_kept) == len(spanning_forest(g))
     assert r.skewness == len(g.edges) - len(r.optimal_kept)
+
+
+def test_deadline_honoured_in_bound_and_extraction():
+    # Euler's bound, 1006, is at least 2500 // 9, so the packing is skipped and
+    # only the extraction deadline is exercised: the root node's extraction,
+    # about 2 s untimed on these 2,500 edges, is cut.
+    _assert_cut_to_spanning_forest(gen_regular(500, 10, 0), nodes=1)
+
+
+def test_deadline_honoured_in_packing_bound():
+    # Euler's bound is 6 and 1500 // 9 is 166, so the witness packing runs;
+    # the deadline cuts it before any node is explored.
+    _assert_cut_to_spanning_forest(gen_regular(500, 6, 0), nodes=0)
 
 
 def _golden_graphs():
@@ -171,6 +204,17 @@ def test_export_ilp_empty_pool(k33):
     assert "Subject To" not in text
     assert "Maximize" in text and "Binary" in text
     assert text.rstrip().endswith("End")
+
+
+def test_export_ilp_euler_row_k7():
+    # K7's pool is empty once Euler closes it; the Euler row still cuts.
+    g = complete_graph(7)
+    r = exact_from_cactus_plus(g, 0, 60_000)
+    assert r.constraint_pool == []
+    text = export_ilp(g, r.constraint_pool)
+    row = [ln for ln in text.splitlines() if ln.lstrip().startswith("e0:")]
+    assert len(row) == 1 and row[0].count("x") == 21
+    assert "<= 15" in text
 
 
 def test_export_ilp_constructed_constraint(k33):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import petersen, random_graph, spanning_subgraph
-from maxplanar.graph import Graph, connected_components, spanning_forest
+from maxplanar.graph import Graph, GraphError, connected_components, spanning_forest
 from maxplanar.planarity import (
     PlanarGraphError,
     classify_witness,
@@ -35,6 +35,13 @@ def test_k5_not_planar(k5):
 
 def test_k33_not_planar(k33):
     assert not is_planar(k33)
+
+
+@pytest.mark.parametrize("bad", [-1, 6])
+def test_is_planar_rejects_foreign_ids(k4, bad):
+    # A negative id must not index the edge tuple from its end.
+    with pytest.raises(GraphError, match=f"edge id {bad} not in host graph"):
+        is_planar(k4, [0, bad, 1])
 
 
 def test_embed_triangle_euler():
