@@ -2,16 +2,16 @@
 wall-clock timeouts, aggregate relative-to-best statistics, emit CSV and
 plot-ready series files.
 
-Each cell runs in its own worker process so that a wall-clock timeout can
-terminate it; results are collected and sorted, so the output is independent
-of scheduling order.  Runtime is measured around the algorithm call inside
-the worker, excluding instance parsing or generation.
+Each cell runs in its own worker process so that a kill deadline can
+terminate it; the parent blocks on the workers' pipes, where EOF without a
+record means that the worker died.  Records are sorted, so the output does
+not depend on scheduling.  Runtime is measured around the algorithm call
+inside the worker, excluding instance parsing or generation.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import math
 import multiprocessing as mp
@@ -19,6 +19,7 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -142,77 +143,68 @@ def run_cell(
     algorithm starts.
     """
     cell = (ref, algorithm, seed)
+    size = (0, 0)
     try:
         g = ref.load()
-    except Exception:
-        return _cell_record(cell, (0, 0), "error")
-    size = (g.vertex_count, len(g.edges))
-    if on_size is not None:
-        on_size(*size)
-    record = functools.partial(_cell_record, cell, size)
-    try:
+        size = (g.vertex_count, len(g.edges))
+        if on_size is not None:
+            on_size(*size)
         if algorithm == "exact":
             limit = time_limit_ms if time_limit_ms is not None else 60_000.0
             t0 = time.perf_counter()
             result = exact_from_cactus_plus(g, seed, limit)
             ms = (time.perf_counter() - t0) * 1000.0
             status = "ok" if result.status == "optimal" else "timeout"
-            return record(status, len(result.optimal_kept), ms)
+            return _cell_record(cell, size, status, len(result.optimal_kept), ms)
         if algorithm.startswith("planarize:"):
             base = algorithm.removeprefix("planarize:")
             t0 = time.perf_counter()
             sub = run_algorithm(g, base, seed, restarts)
             planarized = insert_edges_fixed(g, sub.kept, seed)
             ms = (time.perf_counter() - t0) * 1000.0
-            return record("ok", len(sub.kept), ms, planarized.dummy_count)
+            return _cell_record(cell, size, "ok", len(sub.kept), ms, planarized.dummy_count)
         sub = run_algorithm(g, algorithm, seed, restarts)
-        return record("ok", len(sub.kept), sub.runtime_ms)
+        return _cell_record(cell, size, "ok", len(sub.kept), sub.runtime_ms)
     except MemoryError:
-        return record("memory")
+        return _cell_record(cell, size, "memory")
     except Exception:
-        return record("error")
+        return _cell_record(cell, size, "error")
 
 
-def _cell_worker(conn, ref, algorithm, seed, time_limit_ms, restarts) -> None:
+def _cell_worker(conn, *args) -> None:
     # The size goes first, so a cell killed later still reports its n and m.
-    record = run_cell(
-        ref, algorithm, seed, time_limit_ms, restarts, lambda n, m: conn.send((n, m))
-    )
-    conn.send(record)
-    conn.close()
+    conn.send(run_cell(*args, lambda n, m: conn.send((n, m))))
 
 
 def run_suite(config: SuiteConfig) -> list[BenchmarkRecord]:
-    """One record per (instance, algorithm, seed), sorted deterministically."""
+    """One record per (instance, algorithm, seed), sorted deterministically.
+
+    An exception that stops the suite, such as KeyboardInterrupt, first
+    terminates and joins every running worker.
+    """
     cells = [
         (ref, algo, seed)
         for ref in config.instances
         for algo in config.algorithms
         for seed in config.seeds
     ]
-    records: list[BenchmarkRecord] = []
-    if not cells:
-        return records
-
     workers = config.workers or os.cpu_count() or 1
     ctx = mp.get_context("fork")
     pending = list(reversed(cells))
-    running: list[list] = []  # [process, conn, deadline, cell, started, (n, m)]
+    running: dict = {}  # pipe -> [process, deadline, cell, started, (n, m)]
+    records: list[BenchmarkRecord] = []
     limit_s = None if config.time_limit_ms is None else config.time_limit_ms / 1000.0
 
     def start(cell):
-        ref, algo, seed = cell
         parent, child = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_cell_worker,
-            args=(child, ref, algo, seed, config.time_limit_ms, config.restarts),
-        )
+        args = (child, *cell, config.time_limit_ms, config.restarts)
+        proc = ctx.Process(target=_cell_worker, args=args)
         proc.start()
-        child.close()
+        child.close()  # so the pipe reads EOF once the worker exits
         now = time.monotonic()
         if limit_s is None:
             deadline = None
-        elif algo == "exact":
+        elif cell[1] == "exact":
             # An exact cell manages its own budget; give it headroom to
             # return the incumbent, still within the 2x envelope.
             deadline = now + limit_s * 1.9
@@ -220,45 +212,43 @@ def run_suite(config: SuiteConfig) -> list[BenchmarkRecord]:
             # Kill within 2x the limit; the floor absorbs process startup,
             # which dominates for sub-second limits.
             deadline = now + max(limit_s * 1.5, limit_s + 0.2)
-        running.append([proc, parent, deadline, cell, now, (0, 0)])
+        running[parent] = [proc, deadline, cell, now, (0, 0)]
 
-    while pending or running:
-        while pending and len(running) < workers:
-            start(pending.pop())
-        time.sleep(0.005)
-        still = []
-        for entry in running:
-            proc, conn, deadline, _, started, _ = entry
-            # Read liveness first: a worker that has exited has written
-            # everything it will write, so the drain below sees its record.
-            alive = proc.is_alive()
-            rec = None
-            try:
-                while rec is None and conn.poll():
-                    msg = conn.recv()
-                    if isinstance(msg, BenchmarkRecord):
-                        rec = msg
-                    else:
-                        entry[5] = msg
-            except EOFError:  # the worker closed the pipe without a record
-                alive = False
-            if rec is not None or not alive:
-                proc.join()
-                conn.close()
-                if rec is None:  # SIGKILL is what the kernel's OOM killer sends
-                    status = "memory" if proc.exitcode == -9 else "error"
-                    rec = _cell_record(entry[3], entry[5], status)
-                records.append(rec)
-            elif deadline is not None and time.monotonic() > deadline:
-                proc.terminate()
-                proc.join()
-                conn.close()
-                elapsed = (time.monotonic() - started) * 1000.0
-                records.append(_cell_record(entry[3], entry[5], "timeout", ms=elapsed))
-            else:
-                still.append(entry)
-                continue
-        running[:] = still
+    def finish(conn, rec=None):
+        proc, _, cell, _, size = running.pop(conn)
+        proc.join()
+        conn.close()
+        if rec is None:  # SIGKILL is what the kernel's OOM killer sends
+            rec = _cell_record(cell, size, "memory" if proc.exitcode == -9 else "error")
+        records.append(rec)
+
+    try:
+        while pending or running:
+            while pending and len(running) < workers:
+                start(pending.pop())
+            deadlines = [e[1] for e in running.values() if e[1] is not None]
+            timeout = max(min(deadlines) - time.monotonic(), 0.0) if deadlines else None
+            ready = wait(list(running), timeout)
+            now = time.monotonic()  # what is not ready by now came after any passed deadline
+            for conn in ready:
+                try:
+                    while conn.poll():
+                        msg = conn.recv()
+                        if isinstance(msg, BenchmarkRecord):
+                            finish(conn, msg)
+                            break
+                        running[conn][4] = msg
+                except EOFError:  # the worker exited without a record
+                    finish(conn)
+            for conn, (proc, deadline, cell, started, size) in list(running.items()):
+                if deadline is not None and now >= deadline:
+                    proc.terminate()
+                    finish(conn, _cell_record(cell, size, "timeout", ms=(now - started) * 1e3))
+    finally:
+        for conn, (proc, *_) in running.items():
+            proc.terminate()
+            proc.join()
+            conn.close()
 
     records.sort(key=lambda r: (r.set_label, r.instance, r.algorithm, r.seed))
     return records
@@ -407,6 +397,8 @@ def read_records_csv(path: str | Path) -> list[BenchmarkRecord]:
             if not "".join(row).strip():
                 continue
             inst, set_label, n, m, algo, seed, kept, density, ms, status, cross = row
+            if status not in ("ok", "timeout", "memory", "error"):
+                raise ValueError(f"unknown status {status!r}")
             records.append(BenchmarkRecord(
                 inst, set_label, int(n), int(m), algo, int(seed), int(kept),
                 float(density), float(ms), status, int(cross) if cross else None,

@@ -36,15 +36,18 @@ from .planarize import insert_edges_fixed
 def _parse_seeds(text: str) -> list[int]:
     """"0,1,2" or "0:20" (half-open range) or a single integer."""
     out: list[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if ":" in part:
-            lo, hi = part.split(":", 1)
-            out.extend(range(int(lo), int(hi)))
-        else:
-            out.append(int(part))
+    try:
+        for part in text.split(","):
+            part = part.strip()
+            if not part:
+                continue
+            if ":" in part:
+                lo, hi = part.split(":", 1)
+                out.extend(range(int(lo), int(hi)))
+            else:
+                out.append(int(part))
+    except ValueError as exc:
+        raise ValueError(f"bad seeds {text!r}: {exc}") from exc
     if not out:
         raise ValueError(f"no seeds in {text!r}")
     return out
@@ -99,6 +102,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         restarts=args.restarts,
         workers=args.workers,
     )
+    if not config.algorithms:
+        raise ValueError(f"no algorithms in {args.algorithms!r}")
     emit_records_csv([], args.out)  # an unwritable path fails before any cell runs
     records = run_suite(config)
     emit_records_csv(records, args.out)

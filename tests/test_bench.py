@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import io
+import multiprocessing as mp
 import os
 import re
 import signal
@@ -27,6 +28,17 @@ from maxplanar.bench import (
 from maxplanar.cli import main
 from maxplanar.generate import GeneratorSpec
 from maxplanar.graphio import write_graph
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_workers():
+    yield
+    leaked = mp.active_children()
+    for proc in leaked:
+        proc.terminate()
+        proc.join()
+    if leaked:
+        pytest.fail(f"worker processes left running: {leaked}")
 
 
 def k5_ref() -> InstanceRef:
@@ -66,6 +78,7 @@ def test_suite_timeout_enforced():
     wall = time.monotonic() - t0
     assert len(records) == 1
     assert records[0].status == "timeout"
+    assert records[0].runtime_ms >= 300.0
     # recorded within 2x the limit (plus process startup overhead)
     assert wall < 2 * 0.3 + 0.75
     # the killed cell keeps its instance size, so it lands in its size bucket
@@ -82,6 +95,47 @@ def test_suite_killed_worker_records_memory(monkeypatch):
     config = SuiteConfig(instances=(k5_ref(),), algorithms=("bm",), seeds=(0,), workers=1)
     (rec,) = run_suite(config)
     assert rec.status == "memory"
+
+
+def test_suite_worker_exit_without_record_records_error(monkeypatch):
+    def exits(ref, algorithm, seed, time_limit_ms, restarts, on_size):
+        on_size(7, 9)
+        os._exit(3)
+
+    monkeypatch.setattr(bench, "run_cell", exits)
+    config = SuiteConfig(instances=(k5_ref(),), algorithms=("bm",), seeds=(0,), workers=1)
+    (rec,) = run_suite(config)
+    assert (rec.status, rec.n, rec.m) == ("error", 7, 9)
+
+
+def test_suite_interrupt_stops_workers():
+    class Interrupt(Exception):
+        pass
+
+    def interrupt(signum, frame):
+        raise Interrupt
+
+    spec = GeneratorSpec("regular", 2000, 5, 0)
+    config = SuiteConfig(instances=(InstanceRef("big", "regular", spec=spec),),
+                         algorithms=("naive",), seeds=(0,), workers=1)
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        with pytest.raises(Interrupt):
+            run_suite(config)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert mp.active_children() == []
+
+
+def test_run_cell_records_memory_error_while_loading(monkeypatch):
+    def load(self):
+        raise MemoryError
+
+    monkeypatch.setattr(InstanceRef, "load", load)
+    rec = bench.run_cell(k5_ref(), "bm", 0, None, 1)
+    assert (rec.status, rec.n, rec.m) == ("memory", 0, 0)
 
 
 def test_suite_empty_algorithms():
@@ -346,6 +400,17 @@ def test_read_records_csv_refuses_repeated_cell(tmp_path):
     assert len(read_records_csv(p)) == 4
 
 
+def test_read_records_csv_refuses_unknown_status(tmp_path):
+    # An `okay` row used to be read, and aggregate() counted it as a timeout.
+    p = tmp_path / "r.csv"
+    emit_records_csv([rec(algorithm="a"), rec(algorithm="b", status="okay")], p)
+    with pytest.raises(ValueError, match=r"r\.csv:3: unknown status 'okay'"):
+        read_records_csv(p)
+    statuses = ("ok", "timeout", "memory", "error")
+    emit_records_csv([rec(algorithm=s, status=s) for s in statuses], p)
+    assert [r.status for r in read_records_csv(p)] == list(statuses)
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--algorithms", "naive", "--restarts", "0"],
     ["run", "--algorithms", "cactus", "--time-limit-ms", "0"],
@@ -376,10 +441,13 @@ def test_cli_rejects_invalid_settings_up_front(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv, message", [
     (["--algorithms", "planarize:exact"], "unknown algorithm 'planarize:exact'"),
     (["--algorithms", "cactus", "--gen", "foo:n=10,density=2"], "unknown family 'foo'"),
-], ids=["label", "family"])
+    (["--algorithms", ","], "no algorithms in ','"),
+    (["--algorithms", "cactus", "--seeds", "0:5:2"], "bad seeds '0:5:2': invalid literal"),
+], ids=["label", "family", "no-algorithms", "seeds"])
 def test_cli_run_refuses_bad_label_and_family(tmp_path, capsys, argv, message):
-    # Both used to pass the CLI and come back as `error` records (exit 2),
-    # the family one with n = m = 0.
+    # The label and family used to pass the CLI and come back as `error`
+    # records (exit 2), the family one with n = m = 0; `--algorithms ,` ran
+    # nothing and exited 0; a bad `--seeds` was reported without its text.
     write_graph(complete_graph(5), tmp_path / "k5.el")
     out = tmp_path / "rec.csv"
     argv = ["run", "--instances", str(tmp_path / "k5.el")] + argv + ["--out", str(out)]
