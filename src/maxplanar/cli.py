@@ -26,9 +26,9 @@ from .bench import (
     read_records_csv,
     run_suite,
 )
-from .exact import exact_skewness, export_ilp
+from .exact import check_time_limit, exact_skewness, export_ilp
 from .generate import GeneratorSpec
-from .graphio import make_dir, read_graph, write_graph, write_subgraph, write_text
+from .graphio import detect_format, make_dir, read_graph, write_graph, write_subgraph, write_text
 from .heuristics import ALGORITHMS, run_algorithm
 from .planarize import insert_edges_fixed
 
@@ -57,7 +57,14 @@ def _parse_gen_spec(text: str) -> GeneratorSpec:
     """"regular:n=100,density=3,seed=5" -> GeneratorSpec."""
     try:
         family, rest = text.split(":", 1)
-        kv = dict(item.split("=", 1) for item in rest.split(","))
+        kv: dict[str, str] = {}
+        for item in rest.split(","):
+            key, value = item.split("=", 1)
+            if key not in ("n", "density", "seed"):
+                raise ValueError(f"unknown key {key!r}")
+            if key in kv:
+                raise ValueError(f"repeated key {key!r}")
+            kv[key] = value
         return GeneratorSpec(
             family=family.strip().replace("-", "_"),
             n=int(kv["n"]),
@@ -125,6 +132,9 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
 
 def _cmd_exact(args: argparse.Namespace) -> int:
     g = read_graph(args.instance)
+    check_time_limit(args.time_limit_ms)  # the settings, then --out, before the search
+    if args.out:
+        detect_format(args.out)
     if args.no_incumbent:
         result = exact_skewness(g, args.time_limit_ms)
     else:
@@ -142,6 +152,10 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 
 def _cmd_planarize(args: argparse.Namespace) -> int:
     g = read_graph(args.instance)
+    if args.restarts < 1:  # the settings, then --out, before the work
+        raise ValueError(f"restarts must be >= 1, got {args.restarts}")
+    if args.out:
+        detect_format(args.out)
     sub = run_algorithm(g, args.algorithm, args.seed, args.restarts)
     planarized = insert_edges_fixed(g, sub.kept, args.seed, shuffle=(args.order == "random"))
     print(

@@ -10,6 +10,7 @@ model for an external MIP solver.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -72,9 +73,9 @@ def _euler_rows(g: Graph) -> list[tuple[list[int], int]]:
 
 
 def check_time_limit(time_limit_ms: float) -> None:
-    """Refuse a limit that is not positive, NaN included: no deadline check fires on NaN."""
-    if not time_limit_ms > 0:
-        raise ValueError(f"time_limit_ms must be positive, got {time_limit_ms}")
+    """Refuse a limit that is not positive and finite: no deadline fires on NaN or inf."""
+    if not 0 < time_limit_ms < math.inf:
+        raise ValueError(f"time_limit_ms must be positive and finite, got {time_limit_ms}")
 
 
 def exact_skewness(

@@ -15,9 +15,12 @@ Two modes:
 All per-vertex state lives in flat lists indexed by DFS index; virtual root
 copies of a vertex (one per DFS child c) live at index n + c.  Rotation lists
 are direction-agnostic doubly linked arc lists so that merging a flipped
-component is O(1).  The engine answers reachability/embeddability only; the
-combinatorial embedding itself is produced by the left-right embedder in
-`_lr.py`, which keeps the two code paths independently checkable.
+component is O(1).  Each vertex's DFS children are sorted by lowpoint, and
+`sep_at[v]` indexes v's first child whose bicomp is not yet merged into v:
+external activity reads only that child's lowpoint.  The engine answers
+reachability/embeddability only; the combinatorial embedding itself is
+produced by the left-right embedder in `_lr.py`, which keeps the two code
+paths independently checkable.
 
 The walkup finds bicomp roots by union-find, not by walking external faces:
 `up` (path halving) points a child c at its tree-edge root n + c, a merged
@@ -66,7 +69,6 @@ def edge_addition_run(
     # Everything below works in DFS-index space.
     # ------------------------------------------------------------------
     dfi = [NIL] * n
-    vertex_of = [0] * n
     parent = [NIL] * n
     parent_eid = [NIL] * n
     lowpoint = [0] * n
@@ -80,7 +82,6 @@ def edge_addition_run(
         if dfi[r0] != NIL:
             continue
         dfi[r0] = counter
-        vertex_of[counter] = r0
         lowpoint[counter] = counter
         least_anc[counter] = counter
         counter += 1
@@ -95,7 +96,6 @@ def edge_addition_run(
                 if dfi[w_orig] == NIL:
                     w = counter
                     dfi[w_orig] = w
-                    vertex_of[w] = w_orig
                     parent[w] = v
                     parent_eid[w] = eid
                     children[v].append(w)
@@ -120,25 +120,10 @@ def edge_addition_run(
                     if lowpoint[v] < lowpoint[p]:
                         lowpoint[p] = lowpoint[v]
 
-    # Separated-children lists per vertex, ascending by lowpoint (bucket sort).
-    buckets: list[list[int]] = [[] for _ in range(n)]
-    for c in range(n):
-        if parent[c] != NIL:
-            buckets[lowpoint[c]].append(c)
-    child_next = [NIL] * n
-    child_prev = [NIL] * n
-    sep_head = [NIL] * n
-    sep_tail = [NIL] * n
-    for bucket in buckets:
-        for c in bucket:
-            p = parent[c]
-            t = sep_tail[p]
-            if t == NIL:
-                sep_head[p] = c
-            else:
-                child_next[t] = c
-                child_prev[c] = t
-            sep_tail[p] = c
+    # Children by ascending lowpoint; the stable sort keeps ties in DFS order.
+    for ch in children:
+        ch.sort(key=lowpoint.__getitem__)
+    sep_at = [0] * n
 
     # ------------------------------------------------------------------
     # Embedding state.
@@ -147,24 +132,20 @@ def edge_addition_run(
     arc_n0: list[int] = []
     arc_n1: list[int] = []
     arc_target: list[int] = []
-    arc_eid: list[int] = []
     merged = [False] * n
     up = list(range(2 * n))
     visited = [NIL] * (2 * n)
     be_flag = [NIL] * n
-    be_eid = [0] * n
     pert_roots: list[deque[int] | None] = [None] * n
     skipped: list[int] = []
 
-    def new_arc_pair(src_a: int, tgt_a: int, eid: int) -> int:
+    def new_arc_pair(src_a: int, tgt_a: int) -> int:
         """Allocate twin arcs: returns arc in src_a's list targeting tgt_a."""
         a = len(arc_target)
         arc_target.append(tgt_a)
-        arc_eid.append(eid)
         arc_n0.append(NIL)
         arc_n1.append(NIL)
         arc_target.append(src_a)
-        arc_eid.append(eid)
         arc_n0.append(NIL)
         arc_n1.append(NIL)
         return a
@@ -202,24 +183,12 @@ def edge_addition_run(
     def ext_active(w: int, v: int) -> bool:
         if least_anc[w] < v:
             return True
-        h = sep_head[w]
-        return h != NIL and lowpoint[h] < v
+        ch = children[w]
+        i = sep_at[w]
+        return i < len(ch) and lowpoint[ch[i]] < v
 
     def pertinent(w: int, v: int) -> bool:
         return be_flag[w] == v or bool(pert_roots[w])
-
-    def sep_remove(c: int) -> None:
-        p = parent[c]
-        pr = child_prev[c]
-        nx = child_next[c]
-        if pr != NIL:
-            child_next[pr] = nx
-        else:
-            sep_head[p] = nx
-        if nx != NIL:
-            child_prev[nx] = pr
-        else:
-            sep_tail[p] = pr
 
     def merge_bicomp(w: int, win: int, rr: int, rout: int) -> None:
         """Merge root rr (= w^c) into w, entered at side win, left via rout."""
@@ -229,7 +198,11 @@ def edge_addition_run(
         q = pert_roots[w]
         if q:
             q.popleft()
-        sep_remove(c)
+        ch = children[w]  # w is parent[c]
+        i = sep_at[w]
+        while i < len(ch) and merged[ch[i]]:
+            i += 1
+        sep_at[w] = i
         # The walkdown left rr through its rout-side end; that side of the
         # chunk is about to be enclosed, so it joins w's old end arc and the
         # far side becomes w's new external end.
@@ -250,11 +223,6 @@ def edge_addition_run(
             arc_n1[e_join] = e_w
         ends[2 * w + win] = e_far
 
-    def embed_backedge(r: int, rside: int, w: int, win: int, eid: int) -> None:
-        a = new_arc_pair(r, w, eid)
-        attach(r, rside, a)
-        attach(w, win, a ^ 1)
-
     # ------------------------------------------------------------------
     # Main loop: steps in decreasing DFS index.
     # ------------------------------------------------------------------
@@ -265,7 +233,7 @@ def edge_addition_run(
         # Embed tree edges to children as singleton bicomps rooted at v^c.
         for c in children[v]:
             r = n + c
-            a = new_arc_pair(r, c, parent_eid[c])
+            a = new_arc_pair(r, c)
             ends[2 * r] = a
             ends[2 * r + 1] = a
             ends[2 * c] = a ^ 1
@@ -281,9 +249,8 @@ def edge_addition_run(
 
         # Walkup: mark the pertinent bicomp chain for every backedge (v, w),
         # hopping from each vertex to its bicomp's root through `up`.
-        for w0, eid in backs:
+        for w0, _ in backs:
             be_flag[w0] = v
-            be_eid[w0] = eid
             if visited[w0] == v:
                 continue
             visited[w0] = v
@@ -326,7 +293,9 @@ def edge_addition_run(
                         while stack_m:
                             mw, mwin, mrr, mrout = stack_m.pop()
                             merge_bicomp(mw, mwin, mrr, mrout)
-                        embed_backedge(r, i, w, win, be_eid[w])
+                        a = new_arc_pair(r, w)
+                        attach(r, i, a)
+                        attach(w, win, a ^ 1)
                         be_flag[w] = NIL
                     q = pert_roots[w]
                     if q:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import multiprocessing as mp
 import os
 import re
@@ -357,8 +358,8 @@ def test_cli_planarize_and_exact(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field, value", [("restarts", 0), ("time_limit_ms", 0.0),
-                                          ("time_limit_ms", -5.0), ("workers", 0),
-                                          ("workers", -3)])
+                                          ("time_limit_ms", -5.0), ("time_limit_ms", math.inf),
+                                          ("workers", 0), ("workers", -3)])
 def test_suite_config_rejects_invalid_settings(field, value):
     with pytest.raises(ValueError, match=field):
         SuiteConfig(instances=(k5_ref(),), algorithms=("naive",), seeds=(0,), **{field: value})
@@ -414,17 +415,22 @@ def test_read_records_csv_refuses_unknown_status(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["run", "--algorithms", "naive", "--restarts", "0"],
     ["run", "--algorithms", "cactus", "--time-limit-ms", "0"],
+    ["run", "--algorithms", "cactus", "--time-limit-ms", "inf"],
+    ["run", "--algorithms", "cactus", "--time-limit-ms", "1e400"],
     ["exact", "--time-limit-ms", "0"],
+    ["exact", "--time-limit-ms", "inf"],
     ["export-ilp", "--time-limit-ms", "0"],
     ["planarize", "--algorithm", "naive", "--restarts", "0"],
     ["planarize", "--algorithm", "cactus+", "--restarts", "0"],
     ["run", "--algorithms", "cactus", "--workers", "0"],
-], ids=["run-restarts", "run-time-limit", "exact-time-limit", "export-ilp-time-limit",
+], ids=["run-restarts", "run-time-limit", "run-time-limit-inf", "run-time-limit-1e400",
+        "exact-time-limit", "exact-time-limit-inf", "export-ilp-time-limit",
         "planarize-restarts", "planarize-restarts-cactus+", "run-workers"])
 def test_cli_rejects_invalid_settings_up_front(tmp_path, capsys, argv):
     # Before, `run --restarts 0` made an error record per naive cell and
     # exited 2, `run --time-limit-ms 0` ran with no limit at all, and the
-    # other commands died with a traceback.
+    # other commands died with a traceback.  An infinite limit made `run` die
+    # in the worker wait and `exact` run unbounded.
     write_graph(complete_graph(5), tmp_path / "k5.el")
     out = tmp_path / "out.txt"
     if argv[0] == "run":
@@ -443,11 +449,16 @@ def test_cli_rejects_invalid_settings_up_front(tmp_path, capsys, argv):
     (["--algorithms", "cactus", "--gen", "foo:n=10,density=2"], "unknown family 'foo'"),
     (["--algorithms", ","], "no algorithms in ','"),
     (["--algorithms", "cactus", "--seeds", "0:5:2"], "bad seeds '0:5:2': invalid literal"),
-], ids=["label", "family", "no-algorithms", "seeds"])
+    (["--algorithms", "cactus", "--gen", "regular:n=20,density=2,sed=5"],
+     "bad generator spec 'regular:n=20,density=2,sed=5': unknown key 'sed'"),
+    (["--algorithms", "cactus", "--gen", "regular:n=100,density=3,n=200"],
+     "bad generator spec 'regular:n=100,density=3,n=200': repeated key 'n'"),
+], ids=["label", "family", "no-algorithms", "seeds", "gen-unknown-key", "gen-repeated-key"])
 def test_cli_run_refuses_bad_label_and_family(tmp_path, capsys, argv, message):
     # The label and family used to pass the CLI and come back as `error`
     # records (exit 2), the family one with n = m = 0; `--algorithms ,` ran
-    # nothing and exited 0; a bad `--seeds` was reported without its text.
+    # nothing and exited 0; a bad `--seeds` was reported without its text; a
+    # misspelt --gen key ran with its default, a repeated one with its last value.
     write_graph(complete_graph(5), tmp_path / "k5.el")
     out = tmp_path / "rec.csv"
     argv = ["run", "--instances", str(tmp_path / "k5.el")] + argv + ["--out", str(out)]
@@ -486,6 +497,22 @@ def test_cli_reports_input_errors_without_traceback(tmp_path, capsys, command, b
     assert "Traceback" not in err
     if bad_file is not None:
         assert f"{path}:{line}: " in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["exact", "planarize"])
+def test_cli_checks_output_format_before_the_work(tmp_path, capsys, monkeypatch, command):
+    # A `.txt` --out used to be refused only after the search or planarization.
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{command} ran before its --out was checked")
+
+    monkeypatch.setattr("maxplanar.cli.exact_from_cactus_plus", no_work)
+    monkeypatch.setattr("maxplanar.cli.run_algorithm", no_work)
+    write_graph(complete_graph(5), tmp_path / "k5.el")
+    out = tmp_path / "out.txt"
+    assert main([command, str(tmp_path / "k5.el"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot detect graph format") and "Traceback" not in err
     assert not out.exists()
 
 
