@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import complete_graph, random_graph, spanning_subgraph
 from maxplanar import heuristics
-from maxplanar.graph import Graph, connected_components
+from maxplanar.graph import DisjointSets, Graph, connected_components
 from maxplanar.heuristics import (
     bm_plus,
     bm_subgraph,
@@ -181,6 +181,28 @@ def test_cactus_structure_random():
         # <=> m_kept == (n - #components) + #triangles
         comps = connected_components(g)
         assert len(kept) == g.vertex_count - len(comps) + len(forest.triangles)
+
+
+@given(st.integers(0, 2**30))
+@settings(max_examples=40, deadline=None)
+def test_cactus_triangle_phase_is_saturated(seed):
+    # With classes formed by the triangles alone, no edge joining two classes
+    # closes a triangle through a third: one more triangle pass adds nothing.
+    rng = random.Random(seed)
+    n = rng.randint(3, 40)
+    g = random_graph(n, rng.randint(0, 4 * n), rng)
+    ds = DisjointSets(n)
+    for a, b, c in build_cactus(g, seed).triangles:
+        ds.union(a, b)
+        ds.union(a, c)
+    nbrs = [set() for _ in range(n)]
+    for a, b in g.edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    for a, b in g.edges:
+        ca, cb = ds.find(a), ds.find(b)
+        if ca != cb:
+            assert all(ds.find(w) in (ca, cb) for w in nbrs[a] & nbrs[b])
 
 
 def test_cactus_plus_named(k5, k33, k4):

@@ -3,10 +3,11 @@
 `edge_addition_subgraph` keeps every edge the pass can embed and skips the
 rest, so its kept set depends on how the pass walks and merges bicomps.
 These values pin the number of skipped edges and a sha256 of the sorted kept
-ids, on regular and scale-free graphs up to n=2000 and on a disconnected graph
+ids, on regular and scale-free graphs up to n=4000 and on a disconnected graph
 with isolated vertices, so that any change to how the pass finds pertinent
-bicomps must give the same kept sets.  Regenerate the JSON only when the
-seeded DFS order itself is meant to change:
+bicomps or walks down to them must give the same kept sets.  The n=4000
+graphs have the longest chains of still-unmerged tree edges.  Regenerate the
+JSON only when the seeded DFS order itself is meant to change:
 
     PYTHONPATH=src python tests/test_skip_golden.py > tests/skip_golden.json
 """
@@ -31,7 +32,7 @@ SEEDS = (0, 1)
 def golden_graphs() -> dict[str, Graph]:
     graphs = {}
     for family in ("regular", "scale_free"):
-        for n in (60, 300, 1000, 2000):
+        for n in (60, 300, 1000, 2000, 4000):
             for d in (2, 5):
                 graphs[f"{family}_n{n}_d{d}"] = GeneratorSpec(family, n, d, n + d).build()
     graphs["disconnected"] = disjoint_union(
