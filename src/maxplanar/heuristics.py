@@ -139,7 +139,7 @@ def naive(g: Graph, seed: int) -> SubgraphResult:
 def multistart_naive(g: Graph, restarts: int, seed: int) -> SubgraphResult:
     """Best of `restarts` independent naive runs; first run wins ties."""
     if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     t0 = time.perf_counter()
     rng = random.Random(seed)
     run_seeds = [rng.randrange(SEED_SPACE) for _ in range(restarts)]
@@ -174,11 +174,12 @@ def bm_plus(g: Graph, seed: int) -> SubgraphResult:
 def build_cactus(g: Graph, seed: int) -> CactusForest:
     """Greedy triangular cactus forest plus connector edges.
 
-    Triangle phase: edges are scanned in seed-shuffled order; a triangle
-    {u, v, w} over an edge (u, v) is accepted iff its three vertices lie in
-    three distinct components, which keeps every edge in at most one cycle
-    and every cycle a triangle.  Passes repeat until nothing is added (a
-    single pass already suffices: distinctness only decays as classes merge).
+    Triangle phase: edges are scanned once, in seed-shuffled order; a
+    triangle {u, v, w} over an edge (u, v) is accepted iff its three vertices
+    lie in three distinct components, which keeps every edge in at most one
+    cycle and every cycle a triangle.  One pass is saturated: components only
+    merge afterwards, so an edge with no such triangle when scanned has none
+    later, and an accepted edge has both ends in one component from then on.
     Connector phase: remaining components are joined by edges in id order.
     """
     n = g.vertex_count
@@ -191,36 +192,31 @@ def build_cactus(g: Graph, seed: int) -> CactusForest:
 
     triangles: list[tuple[int, int, int]] = []
     tri_edges: set[int] = set()
-    while True:
-        added = False
-        for eid in order:
-            u, v = g.edges[eid]
-            ru, rv = ds.find(u), ds.find(v)
-            if ru == rv:
-                continue
-            if len(nbrs[u]) > len(nbrs[v]):
-                u, v = v, u
-            hit = None
-            big = nbrs[v]
-            for w in nbrs[u]:
-                if w in big:
-                    rw = ds.find(w)
-                    if rw != ru and rw != rv:
-                        hit = w
-                        break
-            if hit is None:
-                continue
-            w = hit
-            ds.union(u, v)
-            ds.union(u, w)
-            tri_edges.add(eid)
-            tri_edges.add(nbrs[u][w])
-            tri_edges.add(big[w])
-            a, b = g.edges[eid]
-            triangles.append((a, b, w))
-            added = True
-        if not added:
-            break
+    for eid in order:
+        u, v = g.edges[eid]
+        ru, rv = ds.find(u), ds.find(v)
+        if ru == rv:
+            continue
+        if len(nbrs[u]) > len(nbrs[v]):
+            u, v = v, u
+        hit = None
+        big = nbrs[v]
+        for w in nbrs[u]:
+            if w in big:
+                rw = ds.find(w)
+                if rw != ru and rw != rv:
+                    hit = w
+                    break
+        if hit is None:
+            continue
+        w = hit
+        ds.union(u, v)
+        ds.union(u, w)
+        tri_edges.add(eid)
+        tri_edges.add(nbrs[u][w])
+        tri_edges.add(big[w])
+        a, b = g.edges[eid]
+        triangles.append((a, b, w))
 
     connectors: set[int] = set()
     for eid, (a, b) in enumerate(g.edges):
@@ -259,8 +255,6 @@ def run_algorithm(
     g: Graph, name: str, seed: int, restarts: int = 10
 ) -> SubgraphResult:
     """Dispatch by CLI label; "naive" is the multi-start variant."""
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
     if name == "naive":
         return multistart_naive(g, restarts, seed)
     if name == "bm":

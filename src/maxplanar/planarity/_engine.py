@@ -29,6 +29,19 @@ that of a face walk, because a vertex of bicomp B is marked in a step only by
 a walk that also marks B's root, so stopping at a marked root stops where a
 face walk stops at a marked vertex.  Skip mode needs this: its unmerged
 bicomps would otherwise be re-walked by every later walkup.
+
+The walkdown skips two pieces of work whose outcome is already fixed.  A
+root with one arc is a K2: an unmerged root gains arcs only from backedges
+embedded at it as a step's top root, so its one arc is the tree edge to its
+child c, c has no other arc, and c is pertinent because the walkup reached
+the root through c.  Both external-face scans from such a root stop at c at
+once, so the walk pushes the root and moves straight to c, entered at side
+0.  And each of v's top roots n + c0 is a K2 when step v starts, since no
+earlier step walks below c0, so both directions start at (c0, 0).  A
+direction that embeds no edge changes no state, so when the root still has
+one arc after direction 0, direction 1 would replay it and is not run.  Both
+rules keep every decision, and so every output, of the full walk; skip mode
+gains most, as its skipped backedges leave many tree edges unmerged.
 """
 
 from __future__ import annotations
@@ -300,6 +313,12 @@ def edge_addition_run(
                     q = pert_roots[w]
                     if q:
                         rr = q[0]
+                        if ends[2 * rr] == ends[2 * rr + 1]:
+                            # K2 root: both directions lead to its pertinent
+                            # child rr - n, entered at side 0.
+                            stack_m.append((w, win, rr, 0))
+                            w, win = rr - n, 0
+                            continue
                         # First active vertex in each direction from rr.
                         x, xin = ext_succ(rr, 1)
                         while not (pertinent(x, v) or ext_active(x, v)):
@@ -330,6 +349,10 @@ def edge_addition_run(
                     # this side.  A planarity run can stop here; the skip run
                     # still tries the other direction.
                     blocked = True
+                    break
+                if ends[2 * r] == ends[2 * r + 1]:
+                    # Nothing embedded, so nothing changed: the other
+                    # direction starts at the same (c0, 0) and replays this.
                     break
             if blocked:
                 break

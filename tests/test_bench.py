@@ -88,6 +88,22 @@ def test_suite_timeout_enforced():
     assert groups == {"regular:2000"}
 
 
+@pytest.mark.parametrize("limit_ms", [3e9, 1e13])
+def test_suite_waits_on_a_far_deadline(limit_ms):
+    # Before, waiting on the kill deadline of a huge finite limit overflowed
+    # poll()'s millisecond timeout (3e9) or the C time type (1e13).
+    config = SuiteConfig(instances=(k5_ref(),), algorithms=("cactus",), seeds=(0,),
+                         time_limit_ms=limit_ms, workers=1)
+    (rec,) = run_suite(config)
+    assert rec.status == "ok"
+
+
+def test_cli_run_with_a_huge_time_limit(tmp_path):
+    assert main(["run", "--gen", "regular:n=20,density=2", "--algorithms", "cactus",
+                 "--workers", "1", "--time-limit-ms", "1e13",
+                 "--out", str(tmp_path / "r.csv")]) == 0
+
+
 def test_suite_killed_worker_records_memory(monkeypatch):
     def killed(*args, **kwargs):
         os.kill(os.getpid(), signal.SIGKILL)

@@ -108,6 +108,15 @@ def test_multistart_restarts_one_matches_first_derived_seed(k5):
     assert r1.kept == naive(k5, first).kept
 
 
+@pytest.mark.parametrize("restarts", [0, -3])
+def test_naive_refuses_restarts_below_one(k5, restarts):
+    # multistart_naive, the one consumer of `restarts`, checks it itself.
+    with pytest.raises(ValueError, match=f"restarts must be >= 1, got {restarts}"):
+        heuristics.run_algorithm(k5, "naive", 0, restarts)
+    with pytest.raises(ValueError, match=f"restarts must be >= 1, got {restarts}"):
+        multistart_naive(k5, restarts, 0)
+
+
 def test_multistart_k5(k5):
     assert len(multistart_naive(k5, 5, 0).kept) == 9
 
