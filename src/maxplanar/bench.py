@@ -227,11 +227,9 @@ def run_suite(config: SuiteConfig) -> list[BenchmarkRecord]:
             while pending and len(running) < workers:
                 start(pending.pop())
             deadlines = [e[1] for e in running.values() if e[1] is not None]
-            timeout = None
-            if deadlines:
-                # poll() takes a C int of milliseconds, so a far deadline is
-                # waited for an hour at a time; the loop re-checks it.
-                timeout = min(max(min(deadlines) - time.monotonic(), 0.0), 3600.0)
+            # At most an hour: poll() takes a C int of milliseconds, and the
+            # loop re-checks a far deadline anyway.
+            timeout = min(max(min(deadlines) - time.monotonic(), 0.0), 3600.0) if deadlines else None
             ready = wait(list(running), timeout)
             now = time.monotonic()  # what is not ready by now came after any passed deadline
             for conn in ready:

@@ -90,8 +90,8 @@ def test_suite_timeout_enforced():
 
 @pytest.mark.parametrize("limit_ms", [3e9, 1e13])
 def test_suite_waits_on_a_far_deadline(limit_ms):
-    # Before, waiting on the kill deadline of a huge finite limit overflowed
-    # poll()'s millisecond timeout (3e9) or the C time type (1e13).
+    # Waiting on the kill deadline of a huge finite limit must not overflow
+    # poll()'s int of milliseconds (3e9) or the C time type (1e13).
     config = SuiteConfig(instances=(k5_ref(),), algorithms=("cactus",), seeds=(0,),
                          time_limit_ms=limit_ms, workers=1)
     (rec,) = run_suite(config)

@@ -125,10 +125,10 @@ def _assert_cut_to_spanning_forest(g, nodes):
 
 
 def test_deadline_honoured_in_bound_and_extraction():
-    # Euler's bound, 1006, is at least 2500 // 9, so the packing is skipped and
+    # Euler's bound, 1606, is at least 4000 // 9, so the packing is skipped and
     # only the extraction deadline is exercised: the root node's extraction,
-    # about 2 s untimed on these 2,500 edges, is cut.
-    _assert_cut_to_spanning_forest(gen_regular(500, 10, 0), nodes=1)
+    # about 6 s untimed on these 4,000 edges, is cut.
+    _assert_cut_to_spanning_forest(gen_regular(800, 10, 0), nodes=1)
 
 
 def test_deadline_honoured_in_packing_bound():
