@@ -7,7 +7,8 @@ Graphs are immutable after construction and safe to share between workers.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Sequence
+from collections import Counter
+from collections.abc import Collection, Sequence, Set as AbstractSet
 from dataclasses import dataclass
 
 # An EdgeSet is a plain frozenset of edge ids of some host Graph.
@@ -49,10 +50,13 @@ class Graph:
         return frozenset(range(len(self.edges)))
 
     def check_edge_set(self, keep: Collection[int]) -> None:
-        """Raise GraphError naming an id of `keep` that is not an edge id here."""
+        """Raise GraphError naming an id of `keep` that is not an edge id here or repeats."""
         if keep and (min(keep) < 0 or max(keep) >= len(self.edges)):
             bad = min(keep) if min(keep) < 0 else max(keep)
             raise GraphError(f"edge id {bad} not in host graph")
+        if not isinstance(keep, AbstractSet) and len(set(keep)) < len(keep):
+            bad = next(e for e, count in Counter(keep).items() if count > 1)
+            raise GraphError(f"edge id {bad} repeated")
 
 
 def adjacency(n: int, edges: Sequence[tuple[int, int]]) -> list[list[tuple[int, int]]]:

@@ -1,5 +1,6 @@
-"""Planar subgraph heuristics: naive growth, skip-mode test, cactus, and the
-"+" variants that grow a seed subgraph to maximality.
+"""Planar subgraph heuristics, each label run and timed by `run_algorithm`.
+A start set -- empty (`naive`), one skip-mode pass (`bm`) or a triangular
+cactus (`cactus`) -- is grown to maximality for `naive`, `bm+` and `cactus+`.
 
 Growth decides each candidate edge by one planarity-engine run on the
 planarity kernel of the candidate's component plus the edge, never on the
@@ -128,49 +129,6 @@ def grow_maximal(g: Graph, start: EdgeSet, seed: int) -> EdgeSet:
     return frozenset(kept)
 
 
-def naive(g: Graph, seed: int) -> SubgraphResult:
-    """Insert every edge in random order, keeping it unless planarity breaks."""
-    t0 = time.perf_counter()
-    kept = grow_maximal(g, frozenset(), seed)
-    ms = (time.perf_counter() - t0) * 1000.0
-    return SubgraphResult(kept, "naive", seed, ms, maximal=True)
-
-
-def multistart_naive(g: Graph, restarts: int, seed: int) -> SubgraphResult:
-    """Best of `restarts` independent naive runs; first run wins ties."""
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
-    t0 = time.perf_counter()
-    rng = random.Random(seed)
-    run_seeds = [rng.randrange(SEED_SPACE) for _ in range(restarts)]
-    best: EdgeSet | None = None
-    best_seed = run_seeds[0]
-    for s in run_seeds:
-        kept = grow_maximal(g, frozenset(), s)
-        if best is None or len(kept) > len(best):
-            best = kept
-            best_seed = s
-    ms = (time.perf_counter() - t0) * 1000.0
-    assert best is not None
-    return SubgraphResult(best, "naive", best_seed, ms, maximal=True)
-
-
-def bm_subgraph(g: Graph, seed: int) -> SubgraphResult:
-    """Planarity-test pass that skips unembeddable backedges (Boyer-Myrvold)."""
-    t0 = time.perf_counter()
-    kept = edge_addition_subgraph(g, seed)
-    ms = (time.perf_counter() - t0) * 1000.0
-    return SubgraphResult(kept, "bm", seed, ms, maximal=False)
-
-
-def bm_plus(g: Graph, seed: int) -> SubgraphResult:
-    """bm_subgraph grown to maximality by the naive postprocessor."""
-    t0 = time.perf_counter()
-    kept = grow_maximal(g, edge_addition_subgraph(g, seed), seed)
-    ms = (time.perf_counter() - t0) * 1000.0
-    return SubgraphResult(kept, "bm+", seed, ms, maximal=True)
-
-
 def build_cactus(g: Graph, seed: int) -> CactusForest:
     """Greedy triangular cactus forest plus connector edges.
 
@@ -230,39 +188,44 @@ def build_cactus(g: Graph, seed: int) -> CactusForest:
     )
 
 
-def cactus_subgraph(g: Graph, seed: int) -> SubgraphResult:
-    """Triangular-cactus approximation; planar by construction, no test used."""
-    t0 = time.perf_counter()
-    forest = build_cactus(g, seed)
-    kept = forest.triangle_edges | forest.connector_edges
-    ms = (time.perf_counter() - t0) * 1000.0
-    return SubgraphResult(frozenset(kept), "cactus", seed, ms, maximal=False)
-
-
-def cactus_plus(g: Graph, seed: int) -> SubgraphResult:
-    """cactus_subgraph grown to maximality by the naive postprocessor."""
-    t0 = time.perf_counter()
-    forest = build_cactus(g, seed)
-    kept = grow_maximal(g, forest.triangle_edges | forest.connector_edges, seed)
-    ms = (time.perf_counter() - t0) * 1000.0
-    return SubgraphResult(kept, "cactus+", seed, ms, maximal=True)
-
-
 ALGORITHMS = ("naive", "bm", "bm+", "cactus", "cactus+")
 
 
 def run_algorithm(
     g: Graph, name: str, seed: int, restarts: int = 10
 ) -> SubgraphResult:
-    """Dispatch by CLI label; "naive" is the multi-start variant."""
+    """Run and time the heuristic labelled `name`.
+
+    "bm" is the skip-mode pass and "cactus" the triangular cactus; a "+"
+    grows that start set to maximality.  "naive" grows the empty set
+    `restarts` times, from seeds drawn from Random(seed), and keeps the
+    largest result; the first wins ties, and its seed is reported.
+    """
+    if name not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {name!r}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    t0 = time.perf_counter()
     if name == "naive":
-        return multistart_naive(g, restarts, seed)
-    if name == "bm":
-        return bm_subgraph(g, seed)
-    if name == "bm+":
-        return bm_plus(g, seed)
-    if name == "cactus":
-        return cactus_subgraph(g, seed)
-    if name == "cactus+":
-        return cactus_plus(g, seed)
-    raise ValueError(f"unknown algorithm {name!r}")
+        rng = random.Random(seed)
+        kept = None
+        for _ in range(restarts):
+            run_seed = rng.randrange(SEED_SPACE)
+            grown = grow_maximal(g, frozenset(), run_seed)
+            if kept is None or len(grown) > len(kept):
+                kept, seed = grown, run_seed
+    else:
+        if name.startswith("bm"):
+            kept = edge_addition_subgraph(g, seed)
+        else:
+            forest = build_cactus(g, seed)
+            kept = forest.triangle_edges | forest.connector_edges
+        if name.endswith("+"):
+            kept = grow_maximal(g, kept, seed)
+    ms = (time.perf_counter() - t0) * 1000.0
+    return SubgraphResult(kept, name, seed, ms, maximal=name not in ("bm", "cactus"))
+
+
+def cactus_plus(g: Graph, seed: int) -> SubgraphResult:
+    """The "cactus+" run, under the name `bench.exact_from_cactus_plus` calls."""
+    return run_algorithm(g, "cactus+", seed)

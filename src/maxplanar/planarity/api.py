@@ -7,7 +7,7 @@ import time
 from collections import Counter
 from collections.abc import Iterable
 
-from ..graph import EdgeSet, Graph, adjacency, connected_components
+from ..graph import EdgeSet, Graph, GraphError, adjacency, connected_components
 from ._engine import edge_addition_run
 from ._lr import lr_embedding
 from .types import Embedding, KuratowskiSubdivision, PlanarGraphError, PlanarityOutcome
@@ -55,6 +55,7 @@ def minimal_nonplanar_subset(
     each test) has passed.
     """
     kept = list(ids)
+    g.check_edge_set(kept)
     degree = Counter(v for e in kept for v in g.edges[e])
     for eid in list(kept):
         a, b = g.edges[eid]
@@ -74,9 +75,11 @@ def classify_witness(g: Graph, edge_ids: EdgeSet) -> KuratowskiSubdivision:
     """Classify an edge set by its degree signature: five branch vertices of
     degree 4 (K5) or six of degree 3 (K3,3), every other vertex of degree 2.
 
-    Raises PlanarGraphError on any other signature.  Only degrees are read;
-    non-planarity and minimality are witness_is_valid's checks.
+    Raises PlanarGraphError on any other signature, and GraphError on an id
+    that is not an edge of g.  Only degrees are read; non-planarity and
+    minimality are witness_is_valid's checks.
     """
+    g.check_edge_set(edge_ids)
     deg = Counter(v for e in edge_ids for v in g.edges[e])
     branch = sorted(v for v, d in deg.items() if d != 2)
     degrees = sorted(deg[v] for v in branch)
@@ -117,10 +120,10 @@ def edge_addition_subgraph(g: Graph, order_seed: int = 0) -> EdgeSet:
 
 
 def witness_is_valid(g: Graph, w: KuratowskiSubdivision) -> bool:
-    """Degree signature, non-planarity, and one-edge-removal minimality."""
+    """Ids of g, degree signature, non-planarity, one-edge-removal minimality."""
     try:
         classified = classify_witness(g, w.edges)
-    except PlanarGraphError:
+    except (GraphError, PlanarGraphError):
         return False
     if classified.kind != w.kind or classified.branch_vertices != w.branch_vertices:
         return False

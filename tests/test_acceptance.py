@@ -17,14 +17,7 @@ from maxplanar.bench import InstanceRef, SuiteConfig, emit_records_csv, run_suit
 from maxplanar.exact import exact_skewness
 from maxplanar.generate import GeneratorSpec, gen_regular
 from maxplanar.graph import Graph, connected_components
-from maxplanar.heuristics import (
-    bm_plus,
-    bm_subgraph,
-    cactus_plus,
-    cactus_subgraph,
-    multistart_naive,
-    naive,
-)
+from maxplanar.heuristics import cactus_plus, run_algorithm
 from maxplanar.planarity import extract_kuratowski, is_planar, witness_is_valid
 from maxplanar.planarize import insert_edges_fixed
 from oracles import planar_oracle, skewness_oracle
@@ -134,15 +127,10 @@ def test_criterion_4_maximality_honesty_200_runs():
     graphs = _mixed_instances()
     runs = 0
     seed = 0
-    algos = [
-        lambda g, s: multistart_naive(g, 2, s),
-        bm_plus,
-        cactus_plus,
-    ]
+    algos = ("naive", "bm+", "cactus+")
     while runs < 200:
         g = graphs[runs % len(graphs)]
-        fn = algos[runs % 3]
-        r = fn(g, seed)
+        r = run_algorithm(g, algos[runs % 3], seed, restarts=2)
         assert r.maximal
         sub_edges = set(r.kept)
         assert is_planar(g, r.kept)
@@ -155,8 +143,8 @@ def test_criterion_4_maximality_honesty_200_runs():
         seed += 1
     spanning_checked = 0
     for i, g in enumerate(graphs):
-        for fn in (bm_subgraph, cactus_subgraph):
-            r = fn(g, i)
+        for name in ("bm", "cactus"):
+            r = run_algorithm(g, name, i)
             sub = spanning_subgraph(g, r.kept)
             assert is_planar(sub)
             assert connected_components(sub) == connected_components(g)
@@ -222,9 +210,8 @@ def test_criterion_6_f2_runtime_gap():
     times: dict[str, list[float]] = {"naive": [], "bm": [], "cactus": []}
     for seed in range(3):
         g = gen_regular(1000, 10, seed)
-        times["naive"].append(naive(g, seed).runtime_ms)
-        times["bm"].append(bm_subgraph(g, seed).runtime_ms)
-        times["cactus"].append(cactus_subgraph(g, seed).runtime_ms)
+        for name in times:
+            times[name].append(run_algorithm(g, name, seed, restarts=1).runtime_ms)
     med = {k: statistics.median(v) for k, v in times.items()}
     assert med["bm"] <= med["naive"] / 10.0, med
     assert med["cactus"] <= med["naive"] / 10.0, med
@@ -261,7 +248,7 @@ def test_criterion_8_f4_crossings():
     cx_cactus_plus = []
     for trial in range(100):
         g = random_graph(50, 100, rng)
-        c = cactus_subgraph(g, trial)
+        c = run_algorithm(g, "cactus", trial)
         cp = cactus_plus(g, trial)
         cx_cactus.append(insert_edges_fixed(g, c.kept, trial).dummy_count)
         cx_cactus_plus.append(insert_edges_fixed(g, cp.kept, trial).dummy_count)

@@ -265,12 +265,22 @@ def test_cli_aggregate_reads_instance_ids_with_commas(tmp_path):
     assert main(["aggregate", "--records", str(out), "--out", str(tmp_path / "agg.csv")]) == 0
 
 
-def test_cli_aggregate_reports_malformed_row(tmp_path, capsys):
+@pytest.mark.parametrize("row", [
+    "a,b,files,5,10,bm,0,9,1.800000,0.100,ok,",  # an unquoted id with a comma
+    # Values no run writes; one nan density would make its cell group's
+    # best, and so every relative value of the group, nan in aggregate().
+    "i,s,10,20,a,0,9,nan,1.000,ok,",
+    "i,s,10,20,a,0,9,0.900000,-inf,ok,",
+    "i,s,-10,20,a,0,9,0.900000,1.000,ok,",
+    "i,s,10,20,a,0,-15,0.900000,1.000,ok,",
+    "i,s,10,20,a,0,9,0.900000,1.000,ok,-3",
+], ids=["comma-in-id", "density-nan", "runtime-inf", "negative-n", "negative-kept",
+        "negative-crossings"])
+def test_cli_aggregate_reports_malformed_row(tmp_path, capsys, row):
     bad = tmp_path / "bad.csv"
-    emit_records_csv([rec()], bad)
-    # An unquoted id with a comma, as written before ids were quoted.
+    emit_records_csv([rec(instance="j")], bad)  # a cell no bad row repeats
     with open(bad, "a") as fh:
-        fh.write("a,b,files,5,10,bm,0,9,1.800000,0.100,ok,\n")
+        fh.write(row + "\n")
     with pytest.raises(ValueError, match=r"bad\.csv:3: "):
         read_records_csv(bad)
     capsys.readouterr()

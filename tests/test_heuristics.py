@@ -10,14 +10,12 @@ from conftest import complete_graph, random_graph, spanning_subgraph
 from maxplanar import heuristics
 from maxplanar.graph import DisjointSets, Graph, connected_components
 from maxplanar.heuristics import (
-    bm_plus,
-    bm_subgraph,
+    ALGORITHMS,
+    SEED_SPACE,
     build_cactus,
     cactus_plus,
-    cactus_subgraph,
     grow_maximal,
-    multistart_naive,
-    naive,
+    run_algorithm,
 )
 from maxplanar.planarity import is_planar
 from maxplanar.planarity.types import NonPlanarStartError
@@ -96,50 +94,72 @@ def test_grow_maximal_keeps_start():
     assert start <= kept
 
 
-def test_naive_is_maximal_and_flagged(k5):
-    r = naive(k5, 3)
-    assert r.maximal and r.algorithm == "naive"
-    assert len(r.kept) == 9
+@pytest.mark.parametrize("name", ALGORITHMS)
+def test_label_sets_algorithm_and_maximal(k5, name):
+    r = run_algorithm(k5, name, 3)
+    assert r.algorithm == name
+    assert r.maximal == (name not in ("bm", "cactus"))
+    assert is_planar(k5, r.kept)
+    # K5's maximal planar subgraphs all have 9 edges; the cactus has 6.
+    assert len(r.kept) == (6 if name == "cactus" else 9)
+
+
+def test_run_algorithm_refuses_unknown_label(k5):
+    with pytest.raises(ValueError, match=r"unknown algorithm 'bm\+\+'"):
+        run_algorithm(k5, "bm++", 0)
 
 
 def test_multistart_restarts_one_matches_first_derived_seed(k5):
-    r1 = multistart_naive(k5, 1, 123)
-    first = random.Random(123).randrange(2**63)
-    assert r1.kept == naive(k5, first).kept
+    r1 = run_algorithm(k5, "naive", 123, restarts=1)
+    first = random.Random(123).randrange(SEED_SPACE)
+    assert r1.seed == first
+    assert r1.kept == grow_maximal(k5, frozenset(), first)
+
+
+def test_naive_reports_the_first_seed_of_the_largest_growth():
+    # On this graph the six growths keep [26, 27, 25, 26, 27, 27] edges: a
+    # later restart wins, and of the three that keep 27 the first is reported.
+    g = random_graph(12, 40, random.Random(0))
+    rng = random.Random(0)
+    derived = [rng.randrange(SEED_SPACE) for _ in range(6)]
+    sizes = [len(grow_maximal(g, frozenset(), s)) for s in derived]
+    assert sizes == [26, 27, 25, 26, 27, 27]
+    r = run_algorithm(g, "naive", 0, 6)
+    assert r.seed == derived[1]
+    assert r.kept == grow_maximal(g, frozenset(), r.seed)
 
 
 @pytest.mark.parametrize("restarts", [0, -3])
 def test_naive_refuses_restarts_below_one(k5, restarts):
-    # multistart_naive, the one consumer of `restarts`, checks it itself.
-    with pytest.raises(ValueError, match=f"restarts must be >= 1, got {restarts}"):
-        heuristics.run_algorithm(k5, "naive", 0, restarts)
-    with pytest.raises(ValueError, match=f"restarts must be >= 1, got {restarts}"):
-        multistart_naive(k5, restarts, 0)
+    # run_algorithm checks `restarts` for every label, not only naive's.
+    for name in ALGORITHMS:
+        with pytest.raises(ValueError, match=f"restarts must be >= 1, got {restarts}"):
+            run_algorithm(k5, name, 0, restarts)
 
 
 def test_multistart_k5(k5):
-    assert len(multistart_naive(k5, 5, 0).kept) == 9
+    assert len(run_algorithm(k5, "naive", 0, 5).kept) == 9
 
 
 def test_multistart_disjoint_union_k5_k33():
     k5 = complete_graph(5)
     edges = list(k5.edges) + [(5 + a, 8 + b) for a in range(3) for b in range(3)]
     g = Graph(11, tuple(edges))
-    r = multistart_naive(g, 10, 1)
+    r = run_algorithm(g, "naive", 1, 10)
     assert len(r.kept) == 17  # 9 + 8, components independent
     assert_maximal(g, r.kept)
 
 
 def test_bm_subgraph_k5(k5):
     for seed in range(5):
-        r = bm_subgraph(k5, seed)
+        r = run_algorithm(k5, "bm", seed)
         assert len(r.kept) == 9
         assert not r.maximal
 
 
 def test_bm_plus_k6(k6):
     for seed in range(5):
-        r = bm_plus(k6, seed)
+        r = run_algorithm(k6, "bm+", seed)
         assert len(r.kept) == 12  # Euler bound 3n-6 attained
         assert r.maximal
         assert_maximal(k6, r.kept)
@@ -147,7 +167,7 @@ def test_bm_plus_k6(k6):
 
 def test_cactus_k33_is_spanning_tree(k33):
     for seed in range(6):
-        r = cactus_subgraph(k33, seed)
+        r = run_algorithm(k33, "cactus", seed)
         assert len(r.kept) == 5  # triangle-free: connectors only
         assert connected_components(spanning_subgraph(k33, r.kept)) == [set(range(6))]
 
@@ -158,14 +178,14 @@ def test_cactus_k5_two_triangles(k5):
         assert len(forest.triangles) == 2
         assert len(forest.triangle_edges) == 6
         assert forest.connector_edges == frozenset()
-        r = cactus_subgraph(k5, seed)
+        r = run_algorithm(k5, "cactus", seed)
         assert len(r.kept) == 6
         assert connected_components(spanning_subgraph(k5, r.kept)) == [set(range(5))]
 
 
 def test_cactus_triangle_graph():
     g = Graph(3, ((0, 1), (1, 2), (0, 2)))
-    r = cactus_subgraph(g, 0)
+    r = run_algorithm(g, "cactus", 0)
     assert r.kept == g.all_edges()
 
 
@@ -227,8 +247,8 @@ def test_one_third_floor_on_connected():
         g = random_graph(n, rng.randint(2 * n, 4 * n), rng)
         if len(connected_components(g)) != 1:
             continue
-        for fn in (naive, bm_subgraph, bm_plus, cactus_subgraph, cactus_plus):
-            assert len(fn(g, trial).kept) >= n - 1
+        for name in ALGORITHMS:
+            assert len(run_algorithm(g, name, trial, restarts=1).kept) >= n - 1
 
 
 @given(st.integers(0, 2**30), st.integers(5, 22))
@@ -236,8 +256,9 @@ def test_one_third_floor_on_connected():
 def test_determinism_property(seed, n):
     rng = random.Random(seed)
     g = random_graph(n, rng.randint(0, 3 * n), rng)
-    for fn in (naive, bm_subgraph, bm_plus, cactus_subgraph, cactus_plus):
-        assert fn(g, seed).kept == fn(g, seed).kept
+    for name in ALGORITHMS:
+        first, again = (run_algorithm(g, name, seed, restarts=2) for _ in range(2))
+        assert (first.kept, first.seed) == (again.kept, again.seed)
 
 
 @given(st.integers(0, 2**30))
@@ -245,8 +266,8 @@ def test_determinism_property(seed, n):
 def test_maximality_honesty_property(seed):
     rng = random.Random(seed)
     g = random_graph(rng.randint(4, 24), rng.randint(4, 60), rng)
-    for fn in (naive, bm_plus, cactus_plus):
-        r = fn(g, seed)
+    for name in ("naive", "bm+", "cactus+"):
+        r = run_algorithm(g, name, seed, restarts=1)
         assert r.maximal
         assert_maximal(g, r.kept)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import petersen, random_graph, spanning_subgraph
 from maxplanar.graph import Graph, GraphError, connected_components, spanning_forest
+from maxplanar.heuristics import grow_maximal
 from maxplanar.planarity import (
     PlanarGraphError,
     classify_witness,
@@ -42,6 +44,33 @@ def test_is_planar_rejects_foreign_ids(k4, bad):
     # A negative id must not index the edge tuple from its end.
     with pytest.raises(GraphError, match=f"edge id {bad} not in host graph"):
         is_planar(k4, [0, bad, 1])
+
+
+TRIANGLE = Graph(3, ((0, 1), (1, 2), (0, 2)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: is_planar(Graph(3, ((0, 1), (1, 2))), [0, 0, 0, 0]),
+    lambda: grow_maximal(TRIANGLE, [0, 0], 0),
+    lambda: grow_maximal(TRIANGLE, [0, 0, 0, 0], 0),
+    lambda: minimal_nonplanar_subset(Graph(5, tuple(itertools.combinations(range(5), 2))),
+                                     list(range(10)) + [0]),
+], ids=["is_planar", "grow_maximal", "grow_maximal-four-copies", "minimal_nonplanar_subset"])
+def test_repeated_edge_ids_are_refused(call):
+    # Read as parallel edges, repeated ids would make a path test non-planar,
+    # stop a growth short of maximal, and leave a planar K5 "witness".
+    with pytest.raises(GraphError, match="edge id 0 repeated"):
+        call()
+
+
+@pytest.mark.parametrize("bad", [-10, 10])
+def test_classify_witness_checks_ids(k5, bad):
+    ids = frozenset(range(1, 10)) | {bad}
+    with pytest.raises(GraphError, match=f"edge id {bad} not in host graph"):
+        classify_witness(k5, ids)
+    witness = classify_witness(k5, k5.all_edges())
+    assert witness_is_valid(k5, witness)
+    assert not witness_is_valid(k5, dataclasses.replace(witness, edges=ids))
 
 
 def test_embed_triangle_euler():

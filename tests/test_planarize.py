@@ -9,7 +9,7 @@ from conftest import random_graph
 from maxplanar.exact import exact_skewness
 from maxplanar.generate import GeneratorSpec
 from maxplanar.graph import Graph
-from maxplanar.heuristics import cactus_plus, cactus_subgraph, run_algorithm
+from maxplanar.heuristics import cactus_plus, run_algorithm
 from maxplanar.planarity import is_planar, validate_embedding
 from maxplanar.planarity.types import NonPlanarStartError
 from maxplanar.planarize import insert_edges_fixed
@@ -72,7 +72,7 @@ def test_dummy_degrees_and_origins(k6):
 def test_euler_holds_after_each_insertion():
     rng = random.Random(3)
     g = random_graph(12, 26, rng)
-    kept = sorted(cactus_subgraph(g, 0).kept)
+    kept = sorted(run_algorithm(g, "cactus", 0).kept)
     deferred = [e for e in range(len(g.edges)) if e not in set(kept)]
     # insert one more edge each round; the embedding must stay valid
     for upto in range(len(deferred) + 1):
@@ -117,7 +117,7 @@ def test_disconnected_components_insert_without_crossings():
 def test_id_order_is_reproducible():
     rng = random.Random(12)
     g = random_graph(14, 30, rng)
-    kept = cactus_subgraph(g, 0).kept
+    kept = run_algorithm(g, "cactus", 0).kept
     a = insert_edges_fixed(g, kept, 0, shuffle=False)
     b = insert_edges_fixed(g, kept, 99, shuffle=False)
     assert a.host.edges == b.host.edges
