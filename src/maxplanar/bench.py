@@ -262,30 +262,19 @@ class AggregateRow:
     algorithm: str
     ok_count: int
     timeout_count: int
-    rel_min: float
-    rel_avg: float
-    rel_max: float
-    empty: bool = False
+    rel_min: float = 0.0
+    rel_avg: float = 0.0
+    rel_max: float = 0.0
 
     def csv_row(self) -> list[str]:
-        """The fields under AGG_HEADER; an empty row leaves the statistics blank."""
+        """The fields under AGG_HEADER; a row without ok values leaves the statistics blank."""
         head = [self.group_key, self.algorithm, str(self.ok_count), str(self.timeout_count)]
-        if self.empty:
+        if not self.ok_count:
             return head + ["", "", ""]
         return head + [f"{v:.6f}" for v in (self.rel_min, self.rel_avg, self.rel_max)]
 
 
 AGG_HEADER = "group,algorithm,ok_count,timeout_count,rel_min,rel_avg,rel_max"
-
-
-def _metric_value(rec: BenchmarkRecord, metric: str) -> float | None:
-    if metric == "density":
-        return rec.density
-    if metric == "runtime":
-        return rec.runtime_ms
-    if metric == "crossings":
-        return None if rec.crossings is None else float(rec.crossings)
-    raise ValueError(f"unknown metric {metric!r}")
 
 
 def vertex_bucket_10(n: int) -> int:
@@ -301,72 +290,50 @@ def aggregate(
     """Per-instance relative-to-best values, grouped min/avg/max.
 
     Best is the largest density or the smallest runtime/crossings among the
-    ok records of one (set, instance, seed) cell group; timeout records are
-    excluded from the statistics but counted per group.
+    ok records of one (set, instance, seed) cell group.  An ok record with a
+    value enters the statistics; a timeout record is only counted.  Error
+    and memory records are in neither, but still give their group its rows.
     """
-    by_cell: dict[tuple, list[BenchmarkRecord]] = {}
-    for rec in records:
-        by_cell.setdefault((rec.set_label, rec.instance, rec.seed), []).append(rec)
-
-    rel: dict[tuple[str, str], list[float]] = {}
-    timeouts: dict[tuple[str, str], int] = {}
-    algorithms = sorted({r.algorithm for r in records})
-
-    def group_of(rec: BenchmarkRecord) -> str:
-        if grouping == "vertex_bucket_10":
-            return f"{rec.set_label}:{vertex_bucket_10(rec.n)}"
-        if grouping == "density_class":
-            cls = (2 * rec.m + rec.n) // (2 * rec.n) if rec.n else 0  # m/n, halves up
-            return f"{rec.set_label}:{cls}"
+    if grouping not in ("vertex_bucket_10", "density_class"):
         raise ValueError(f"unknown grouping {grouping!r}")
+    field = {"density": "density", "runtime": "runtime_ms", "crossings": "crossings"}.get(metric)
+    if field is None:
+        raise ValueError(f"unknown metric {metric!r}")
+    pick = max if metric == "density" else min
 
-    groups: set[str] = set()
-    for cell_records in by_cell.values():
-        ok = [r for r in cell_records if r.status == "ok"]
-        vals = [(r, _metric_value(r, metric)) for r in ok]
-        vals = [(r, v) for r, v in vals if v is not None]
-        best: float | None = None
-        if vals:
-            if metric == "density":
-                best = max(v for _, v in vals)
-            else:
-                best = min(v for _, v in vals)
-        for rec in cell_records:
-            gk = group_of(rec)
-            groups.add(gk)
-            key = (gk, rec.algorithm)
-            if rec.status != "ok":
-                timeouts[key] = timeouts.get(key, 0) + 1
-                continue
-            v = _metric_value(rec, metric)
-            if v is None or best is None:
-                continue
-            if best == 0:
-                r = 1.0 if v == 0 else math.inf
-            else:
-                r = v / best
-            rel.setdefault(key, []).append(r)
+    best: dict[tuple[str, str, int], float] = {}
+    for rec in records:
+        v = getattr(rec, field)
+        if rec.status == "ok" and v is not None:
+            cell = (rec.set_label, rec.instance, rec.seed)
+            best[cell] = pick(best.get(cell, v), v)
 
+    rel: dict[tuple[str, str], list[float]] = {}  # every record's key, even without values
+    timeouts: Counter[tuple[str, str]] = Counter()
+    for rec in records:
+        if grouping == "vertex_bucket_10":
+            cls = vertex_bucket_10(rec.n)
+        else:
+            cls = (2 * rec.m + rec.n) // (2 * rec.n) if rec.n else 0  # m/n, halves up
+        key = (f"{rec.set_label}:{cls}", rec.algorithm)
+        values = rel.setdefault(key, [])
+        v = getattr(rec, field)
+        if rec.status == "timeout":
+            timeouts[key] += 1
+        elif rec.status == "ok" and v is not None:
+            b = best[(rec.set_label, rec.instance, rec.seed)]
+            if b:
+                values.append(v / b)
+            else:  # only a 0 ties a best of 0
+                values.append(1.0 if v == 0 else math.inf)
+
+    algorithms = sorted({r.algorithm for r in records})
     rows: list[AggregateRow] = []
-    for gk in sorted(groups):
+    for gk in sorted({gk for gk, _ in rel}):
         for algo in algorithms:
-            key = (gk, algo)
-            values = rel.get(key, [])
-            t = timeouts.get(key, 0)
-            if not values:
-                rows.append(AggregateRow(gk, algo, 0, t, 0.0, 0.0, 0.0, empty=True))
-            else:
-                rows.append(
-                    AggregateRow(
-                        gk,
-                        algo,
-                        len(values),
-                        t,
-                        min(values),
-                        sum(values) / len(values),
-                        max(values),
-                    )
-                )
+            values = rel.get((gk, algo), [])
+            stats = (min(values), sum(values) / len(values), max(values)) if values else ()
+            rows.append(AggregateRow(gk, algo, len(values), timeouts[gk, algo], *stats))
     return rows
 
 
@@ -431,7 +398,7 @@ def emit_plot_data(rows: list[AggregateRow], out_dir: str | Path, prefix: str) -
         p = out / f"{prefix}_{safe}.csv"
         _write_csv(p, "x,rel_min,rel_avg,rel_max", (
             [row.group_key.split(":")[-1]] + row.csv_row()[-3:]
-            for row in rows if row.algorithm == algo and not row.empty
+            for row in rows if row.algorithm == algo and row.ok_count
         ))
         paths.append(p)
     return paths

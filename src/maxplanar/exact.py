@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 from .graph import EdgeSet, Graph, connected_components, spanning_forest
@@ -81,7 +82,7 @@ def check_time_limit(time_limit_ms: float) -> None:
 def exact_skewness(
     g: Graph,
     time_limit_ms: float,
-    initial_incumbent: EdgeSet | None = None,
+    initial_incumbent: Collection[int] | None = None,
 ) -> ExactResult:
     """Branch-and-bound over removed-edge sets.
 
@@ -103,7 +104,8 @@ def exact_skewness(
 
     best_removed: frozenset[int] | None = None
     if initial_incumbent is not None:
-        g.check_edge_set(initial_incumbent)
+        g.check_edge_set(initial_incumbent)  # before frozenset() hides a repeated id
+        initial_incumbent = frozenset(initial_incumbent)
         if not _is_planar_ids(g, sorted(initial_incumbent)):
             raise NonPlanarStartError("initial incumbent is not planar")
         best_removed = frozenset(all_ids) - initial_incumbent

@@ -163,21 +163,19 @@ def edge_addition_run(
         arc_n1.append(NIL)
         return a
 
+    # Every vertex the walkdown attaches to or merges into lies strictly
+    # below v in the DFS tree, so its parent tree arc is already embedded;
+    # a root holds its tree arc from the start.  So attach and merge_bicomp
+    # never meet an empty rotation list.
+
     def attach(x: int, side: int, a: int) -> None:
-        """Append arc a at end `side` of x's rotation list."""
+        """Append fresh arc a at end `side` of x's rotation list."""
         e = ends[2 * x + side]
-        if e == NIL:
-            ends[2 * x] = a
-            ends[2 * x + 1] = a
-            return
         if arc_n0[e] == NIL:
             arc_n0[e] = a
         else:
             arc_n1[e] = a
-        if arc_n0[a] == NIL:
-            arc_n0[a] = e
-        else:
-            arc_n1[a] = e
+        arc_n0[a] = e
         ends[2 * x + side] = a
 
     def ext_succ(x: int, xin: int) -> tuple[int, int]:
@@ -222,10 +220,6 @@ def edge_addition_run(
         e_w = ends[2 * w + win]
         e_join = ends[2 * rr + rout]
         e_far = ends[2 * rr + 1 - rout]
-        if e_w == NIL:
-            ends[2 * w + win] = e_far
-            ends[2 * w + 1 - win] = e_join
-            return
         if arc_n0[e_w] == NIL:
             arc_n0[e_w] = e_join
         else:

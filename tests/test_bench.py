@@ -28,7 +28,8 @@ from maxplanar.bench import (
 )
 from maxplanar.cli import main
 from maxplanar.generate import GeneratorSpec
-from maxplanar.graphio import write_graph
+from maxplanar.graphio import read_graph, write_graph
+from maxplanar.planarity import is_planar
 
 
 @pytest.fixture(autouse=True)
@@ -218,7 +219,20 @@ def test_aggregate_excludes_timeouts_but_counts():
     rows = aggregate(records)
     by_algo = {r.algorithm: r for r in rows}
     assert by_algo["a"].ok_count == 1
-    assert by_algo["b"].empty and by_algo["b"].timeout_count == 1
+    assert by_algo["b"].ok_count == 0 and by_algo["b"].timeout_count == 1
+
+
+def test_aggregate_counts_only_timeouts():
+    # Error and memory records used to be counted as timeouts.
+    records = [rec(algorithm=s, status=s) for s in ("ok", "error", "memory", "timeout")]
+    counts = {r.algorithm: (r.ok_count, r.timeout_count) for r in aggregate(records)}
+    assert counts == {"ok": (1, 0), "error": (0, 0), "memory": (0, 0), "timeout": (0, 1)}
+
+
+@pytest.mark.parametrize("grouping, metric", [("bogus", "density"), ("density_class", "bogus")])
+def test_aggregate_refuses_unknown_names_before_any_record(grouping, metric):
+    with pytest.raises(ValueError, match="unknown .* 'bogus'"):
+        aggregate([], grouping, metric)
 
 
 def test_aggregate_relative_at_most_one_with_best_present():
@@ -381,6 +395,61 @@ def test_cli_planarize_and_exact(tmp_path, capsys):
     ]) == 0
     out = capsys.readouterr().out
     assert "crossings=3" in out
+
+
+def test_cli_gen_files_feed_run(tmp_path, capsys):
+    out = tmp_path / "inst"
+    assert main(["gen", "--family", "regular", "--n", "12", "--density", "2",
+                 "--seeds", "0,1", "--out", str(out)]) == 0
+    paths = sorted(out.iterdir())
+    assert [p.name for p in paths] == ["regular_n12_d2_s0.el", "regular_n12_d2_s1.el"]
+    assert f"wrote {paths[0]} (n=12, m=" in capsys.readouterr().out
+    records_path = tmp_path / "rec.csv"
+    assert main(["run", "--instances", *map(str, paths), "--algorithms", "bm",
+                 "--workers", "1", "--out", str(records_path)]) == 0
+    records = read_records_csv(records_path)
+    assert [(r.instance, r.status, r.n) for r in records] == [
+        ("regular_n12_d2_s0", "ok", 12), ("regular_n12_d2_s1", "ok", 12)]
+    assert [r.m for r in records] == [len(read_graph(p).edges) for p in paths]
+
+
+def test_cli_exact_without_incumbent_writes_kept_edges(tmp_path, capsys):
+    write_graph(complete_graph(5), tmp_path / "k5.el")
+    out = tmp_path / "x.el"
+    assert main(["exact", str(tmp_path / "k5.el"), "--no-incumbent", "--out", str(out)]) == 0
+    assert "skewness=1 kept=9 status=optimal" in capsys.readouterr().out
+    kept = read_graph(out)
+    assert kept.vertex_count == 5 and len(kept.edges) == 9 and is_planar(kept)
+
+
+def test_cli_planarize_writes_planar_host(tmp_path, capsys):
+    write_graph(complete_graph(6), tmp_path / "k6.el")
+    out = tmp_path / "h.el"
+    assert main(["planarize", str(tmp_path / "k6.el"), "--out", str(out)]) == 0
+    assert "crossings=3" in capsys.readouterr().out
+    host = read_graph(out)
+    # Each crossing is a degree-4 dummy vertex that splits two edges.
+    assert (host.vertex_count, len(host.edges)) == (6 + 3, 15 + 2 * 3)
+    assert is_planar(host)
+
+
+def test_cli_export_ilp_writes_lp_model(tmp_path, capsys):
+    write_graph(complete_graph(5), tmp_path / "k5.el")
+    out = tmp_path / "m.lp"
+    assert main(["export-ilp", str(tmp_path / "k5.el"), "--out", str(out)]) == 0
+    assert "model with 10 binaries" in capsys.readouterr().out
+    assert out.read_text().startswith("Maximize\n")
+
+
+def test_cli_run_format_overrides_extension(tmp_path):
+    write_graph(complete_graph(5), tmp_path / "k5.el")
+    (tmp_path / "k5.el").rename(tmp_path / "k5.txt")
+    argv = ["run", "--instances", str(tmp_path / "k5.txt"), "--algorithms", "bm",
+            "--workers", "1", "--out", str(tmp_path / "rec.csv")]
+    assert main(argv) == 2  # .txt names no format
+    assert main(argv + ["--format", "edge_list"]) == 0
+    [record] = read_records_csv(tmp_path / "rec.csv")
+    assert (record.instance, record.n, record.m, record.status) == ("k5", 5, 10, "ok")
 
 
 @pytest.mark.parametrize("field, value", [("restarts", 0), ("time_limit_ms", 0.0),

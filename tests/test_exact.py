@@ -13,7 +13,7 @@ from conftest import complete_bipartite, complete_graph, petersen, random_graph
 from maxplanar.bench import exact_from_cactus_plus
 from maxplanar.exact import exact_skewness, export_ilp
 from maxplanar.generate import gen_regular
-from maxplanar.graph import Graph, spanning_forest
+from maxplanar.graph import Graph, GraphError, spanning_forest
 from maxplanar.heuristics import cactus_plus
 from maxplanar.planarity import is_planar
 from maxplanar.planarity.types import NonPlanarStartError
@@ -64,6 +64,15 @@ def test_incumbent_never_worse(petersen_graph):
     inc = cactus_plus(petersen_graph, 0).kept
     r = exact_skewness(petersen_graph, 10000, initial_incumbent=inc)
     assert len(r.optimal_kept) >= len(inc)
+
+
+def test_incumbent_may_be_any_collection(k5):
+    # A list used to raise a bare TypeError at `frozenset - list`.
+    as_set = exact_skewness(k5, 5000, initial_incumbent=frozenset(range(1, 10)))
+    assert exact_skewness(k5, 5000, initial_incumbent=list(range(1, 10))) == as_set
+    assert as_set.skewness == 1 and as_set.status == "optimal"
+    with pytest.raises(GraphError, match="edge id 1 repeated"):
+        exact_skewness(k5, 5000, initial_incumbent=[1, 1, 2])
 
 
 def test_incumbent_rejected_if_nonplanar(k5):
