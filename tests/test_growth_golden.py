@@ -4,7 +4,8 @@
 set depends only on the verdicts and on the seed-shuffled order.  These
 values pin that output for the heuristics that grow (`naive` with two
 restarts, `bm+`, `cactus+`) and for `grow_maximal` from a random planar
-start, so that any change to how a growth test is computed must give the
+start, and, with one naive restart, on regular and scale-free n=1000, d=5,
+where most growth tests reject; so that any change to how a growth test is computed must give the
 same verdicts.  Regenerate the JSON only when the seeded order itself is
 meant to change:
 
@@ -42,6 +43,13 @@ def golden_graphs() -> dict[str, Graph]:
     return graphs
 
 
+# n=1000, d=5, generator seed 0: the size where most growth tests reject.
+SCALE_GRAPHS = {
+    "regular_n1000_d5": lambda: gen_regular(1000, 10, 0),
+    "scale_free_n1000_d5": lambda: gen_scale_free(1000, 5, 0),
+}
+
+
 def random_planar_start(g: Graph, seed: int) -> frozenset[int]:
     """A random half of a skip-mode planar subgraph: planar, tree- and
     path-rich, so growth from it starts on components full of low degrees."""
@@ -62,6 +70,17 @@ def compute_cells(names=None) -> dict[str, list[int]]:
     return cells
 
 
+def compute_scale_cells(names=None) -> dict[str, list[int]]:
+    cells = {}
+    for name, build in SCALE_GRAPHS.items():
+        if names is not None and name not in names:
+            continue
+        g = build()
+        for algo in ALGORITHMS:
+            cells[f"{name}/{algo}/0"] = sorted(run_algorithm(g, algo, 0, restarts=1).kept)
+    return cells
+
+
 @pytest.mark.parametrize("name", list(golden_graphs()))
 def test_growth_golden(name):
     golden = json.loads(GOLDEN_PATH.read_text())
@@ -71,7 +90,15 @@ def test_growth_golden(name):
     assert got == want
 
 
+@pytest.mark.parametrize("name", list(SCALE_GRAPHS))
+def test_growth_golden_at_scale(name):
+    golden = json.loads(GOLDEN_PATH.read_text())
+    want = {k: v for k, v in golden.items() if k.split("/")[0] == name}
+    assert len(want) == len(ALGORITHMS)
+    assert compute_scale_cells({name}) == want
+
+
 if __name__ == "__main__":
-    cells = compute_cells()
+    cells = compute_cells() | compute_scale_cells()
     print("{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v, separators=(',', ':'))}"
                             for k, v in cells.items()) + "\n}")
