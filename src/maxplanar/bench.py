@@ -73,6 +73,9 @@ class SuiteConfig:
             check_time_limit(self.time_limit_ms)
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        # Random(-s) draws what Random(s) draws: two cells would run one computation.
+        if any(seed < 0 for seed in self.seeds):
+            raise ValueError(f"seeds must be >= 0, got {min(self.seeds)}")
         # A repeated key would merge distinct cells in the records and in aggregate().
         instance_keys = [(r.set_label, r.instance_id) for r in self.instances]
         for what, keys in (("(set, instance id)", instance_keys),
@@ -389,15 +392,15 @@ def emit_aggregate_csv(rows: list[AggregateRow], path: str | Path) -> None:
 
 
 def emit_plot_data(rows: list[AggregateRow], out_dir: str | Path, prefix: str) -> list[Path]:
-    """One series file per algorithm: x = group bucket, y = min/avg/max."""
+    """One series file per algorithm: set label, x = group bucket, y = min/avg/max."""
     out = make_dir(out_dir)
     paths: list[Path] = []
     algorithms = sorted({r.algorithm for r in rows})
     for algo in algorithms:
         safe = algo.replace("+", "plus").replace(":", "_")
         p = out / f"{prefix}_{safe}.csv"
-        _write_csv(p, "x,rel_min,rel_avg,rel_max", (
-            [row.group_key.split(":")[-1]] + row.csv_row()[-3:]
+        _write_csv(p, "set,x,rel_min,rel_avg,rel_max", (
+            row.group_key.rsplit(":", 1) + row.csv_row()[-3:]
             for row in rows if row.algorithm == algo and row.ok_count
         ))
         paths.append(p)

@@ -76,10 +76,10 @@ def _parse_gen_spec(text: str) -> GeneratorSpec:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    seeds = _parse_seeds(args.seeds)
+    family = args.family.replace("-", "_")
+    specs = [GeneratorSpec(family, args.n, args.density, s) for s in _parse_seeds(args.seeds)]
     out = make_dir(args.out)
-    for seed in seeds:
-        spec = GeneratorSpec(args.family.replace("-", "_"), args.n, args.density, seed)
+    for spec in specs:
         g = spec.build()
         path = out / f"{spec.label()}.el"
         write_graph(g, path)

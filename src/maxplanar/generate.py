@@ -26,6 +26,8 @@ class GeneratorSpec:
     def __post_init__(self) -> None:
         if self.family not in ("regular", "scale_free"):
             raise GeneratorError(f"unknown family {self.family!r}")
+        if self.seed < 0:  # Random(-s) draws what Random(s) draws
+            raise GeneratorError(f"seed must be >= 0, got {self.seed}")
 
     def build(self) -> Graph:
         if self.family == "regular":

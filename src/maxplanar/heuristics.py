@@ -2,9 +2,9 @@
 A start set -- empty (`naive`), one skip-mode pass (`bm`) or a triangular
 cactus (`cactus`) -- is grown to maximality for `naive`, `bm+` and `cactus+`.
 
-Growth decides each candidate edge by one planarity-engine run on the
-planarity kernel of the candidate's component plus the edge, never on the
-whole component; see `grow_maximal`.
+Growth runs the planarity engine on the planarity kernel of a candidate's
+component plus the edge, never on the whole component, and only when the
+kernel or an earlier reject does not settle the verdict; see `grow_maximal`.
 
 All operations are pure in (graph, seed): identical inputs give identical
 kept-edge sets.  Runtime is measured around the algorithm itself, excluding
@@ -55,12 +55,17 @@ def grow_maximal(g: Graph, start: EdgeSet, seed: int) -> EdgeSet:
     lost, so an edge rejected earlier would be rejected against any superset.
 
     An edge that joins two components is kept untested, and one that breaks
-    its component's Euler bound is dropped untested.  Every other edge is
-    tested by one engine run on the planarity kernel of its component plus
-    the edge: trees peeled, degree-2 chains suppressed, parallel edges
-    merged, which preserves the verdict and leaves about half the graph.
-    The component's kernel is built at its first test and reused until an
-    accepted edge changes the component.
+    its component's Euler bound is dropped untested.  The others meet the
+    planarity kernel of their component (trees peeled, degree-2 chains
+    suppressed, parallel edges merged), built at the first of them and
+    reused until an accepted edge changes the component.  As planarity is
+    closed under minors, two rules spare the engine.  An edge that leaves
+    the kernel as it is is kept, since a planar component's kernel is
+    planar.  An engine reject drops, each at its turn, every edge of g
+    between the closures of the rejected ends' kernel locations: each such
+    edge's plus-edge graph has the rejected one as a minor, now and after
+    any growth (see `PlanarityKernel.closure`).  Every other edge costs one
+    engine run on the kernel plus the edge.
     """
     g.check_edge_set(start)
     n = g.vertex_count
@@ -104,10 +109,15 @@ def grow_maximal(g: Graph, start: EdgeSet, seed: int) -> EdgeSet:
     rng.shuffle(rest)
 
     kept = set(start)
+    # Edges a rejected test has shown non-planar against every later component.
+    settled: set[int] = set()
+    adj = adjacency(n, g.edges)
     max_edges = 3 * n - 6 if n >= 3 else n - 1
     for eid in rest:
         if len(kept) >= max_edges:
             break
+        if eid in settled:
+            continue
         a, b = g.edges[eid]
         ra, rb = ds.find(a), ds.find(b)
         if ra != rb:
@@ -122,10 +132,14 @@ def grow_maximal(g: Graph, start: EdgeSet, seed: int) -> EdgeSet:
         kernel = kernels.get(ra)
         if kernel is None:
             kernel = kernels[ra] = PlanarityKernel(ce)
-        planar, _ = edge_addition_run(*kernel.plus_edge(a, b))
-        if planar:
-            absorb(eid)
-            kept.add(eid)
+        plus = kernel.plus_edge(a, b)  # None: the planar kernel stays as it is
+        if plus is not None and not edge_addition_run(*plus)[0]:
+            # Non-planar with this component and every one it grows into.
+            ends = set(kernel.closure(b))
+            settled.update(e for u in kernel.closure(a) for w, e in adj[u] if w in ends)
+            continue
+        absorb(eid)
+        kept.add(eid)
     return frozenset(kept)
 
 

@@ -14,7 +14,14 @@ every edge later tried against the same graph: the graph plus an edge
 of a and b is, an edge location being a new vertex that subdivides it.
 When both ends fall on one location, or on a kernel edge and one of its
 ends, or on the two ends of a kernel edge, the new edge only widens a piece
-that reduces away, and the kernel is tested as it is.
+that reduces away: the kernel stays as it is, and so does the verdict.
+
+Planarity is closed under minors, so a non-planar kernel plus an edge
+between locations la and lb settles more edges than its own.  The closure
+of a kernel vertex x is x and the kernel edges at x; that of a kernel edge
+is the edge alone.  The graph plus any edge from closure(la) to closure(lb)
+is non-planar, and stays so as edges are added: contracting each
+subdividing vertex into its kernel vertex gives back the first graph.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ class PlanarityKernel:
     ascending order of the surviving input ids.
     """
 
-    __slots__ = ("n", "edges", "_index", "_edge_pos", "_fwd")
+    __slots__ = ("n", "edges", "_index", "_edge_pos", "_fwd", "_closures")
 
     def __init__(self, edges: Iterable[tuple[int, int]]) -> None:
         nbrs: dict[int, set[int]] = {}
@@ -91,6 +98,7 @@ class PlanarityKernel:
         self._index = index
         self._edge_pos = {e: i for i, e in enumerate(kernel_edges)}
         self._fwd = fwd
+        self._closures: dict[object, list[int]] = {}  # built at the first closure()
 
     def _locate(self, v: int) -> object:
         """Where input vertex v lies: a kernel vertex, a kernel edge, or None."""
@@ -118,13 +126,13 @@ class PlanarityKernel:
             return la in lb
         return (la, lb) in self._edge_pos or (lb, la) in self._edge_pos
 
-    def plus_edge(self, a: int, b: int) -> tuple[int, list[tuple[int, int]]]:
+    def plus_edge(self, a: int, b: int) -> tuple[int, list[tuple[int, int]]] | None:
         """Kernel (n, edges) of the input graph plus the edge (a, b), where a
         and b are input vertices; the subdividing vertices get the ids n and
-        n + 1."""
+        n + 1.  None when the edge leaves the kernel as it is."""
         la, lb = self._locate(a), self._locate(b)
         if self._widens_a_piece(la, lb):
-            return self.n, self.edges
+            return None
         n, edges, index = self.n, self.edges.copy(), self._index
         ends = []
         for loc in (la, lb):
@@ -138,3 +146,15 @@ class PlanarityKernel:
                 n += 1
         edges.append((ends[0], ends[1]))
         return n, edges
+
+    def closure(self, v: int) -> list[int]:
+        """The input vertices located in the closure of v's location, which
+        must be a kernel vertex or edge."""
+        closures = self._closures
+        if not closures:
+            for u in [*self._index, *self._fwd]:
+                if type(u) is int:
+                    loc = self._locate(u)
+                    for key in (loc, *loc) if type(loc) is tuple else (loc,):
+                        closures.setdefault(key, []).append(u)
+        return closures[self._locate(v)]

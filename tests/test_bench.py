@@ -305,14 +305,19 @@ def test_cli_aggregate_reports_malformed_row(tmp_path, capsys, row):
 
 
 def test_emit_plot_series(tmp_path):
-    rows = aggregate(
-        [rec(algorithm="a", kept=9), rec(algorithm="b", kept=6)]
-    )
+    # Two sets in one vertex bucket give two rows, told apart by their set:
+    # the x column alone used to repeat with nothing to tell them apart.
+    rows = aggregate([
+        rec(algorithm="a", kept=9), rec(algorithm="b", kept=6),
+        rec(set_label="t:u", algorithm="a", kept=3), rec(set_label="t:u", algorithm="b", kept=6),
+    ])
     paths = emit_plot_data(rows, tmp_path, "trial")
     assert sorted(p.name for p in paths) == ["trial_a.csv", "trial_b.csv"]
-    body = (tmp_path / "trial_a.csv").read_text().splitlines()
-    assert body[0] == "x,rel_min,rel_avg,rel_max"
-    assert len(body) == 2
+    assert (tmp_path / "trial_a.csv").read_text().splitlines() == [
+        "set,x,rel_min,rel_avg,rel_max",
+        "s,10,1.000000,1.000000,1.000000",
+        "t:u,10,0.500000,0.500000,0.500000",
+    ]
 
 
 def test_suite_deterministic_modulo_runtime():
@@ -413,6 +418,16 @@ def test_cli_gen_files_feed_run(tmp_path, capsys):
     assert [r.m for r in records] == [len(read_graph(p).edges) for p in paths]
 
 
+def test_cli_gen_refuses_negative_seeds(tmp_path, capsys):
+    # Seed -1 used to write the graph of seed 1 a second time, as ..._s-1.el.
+    out = tmp_path / "inst"
+    assert main(["gen", "--family", "regular", "--n", "10", "--density", "2",
+                 "--seeds=1,-1", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be >= 0, got -1\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_cli_exact_without_incumbent_writes_kept_edges(tmp_path, capsys):
     write_graph(complete_graph(5), tmp_path / "k5.el")
     out = tmp_path / "x.el"
@@ -454,10 +469,11 @@ def test_cli_run_format_overrides_extension(tmp_path):
 
 @pytest.mark.parametrize("field, value", [("restarts", 0), ("time_limit_ms", 0.0),
                                           ("time_limit_ms", -5.0), ("time_limit_ms", math.inf),
-                                          ("workers", 0), ("workers", -3)])
+                                          ("workers", 0), ("workers", -3), ("seeds", (-7, 7))])
 def test_suite_config_rejects_invalid_settings(field, value):
     with pytest.raises(ValueError, match=field):
-        SuiteConfig(instances=(k5_ref(),), algorithms=("naive",), seeds=(0,), **{field: value})
+        SuiteConfig(**{"instances": (k5_ref(),), "algorithms": ("naive",), "seeds": (0,),
+                       field: value})
 
 
 @pytest.mark.parametrize("field, value, repeated", [
@@ -518,14 +534,16 @@ def test_read_records_csv_refuses_unknown_status(tmp_path):
     ["planarize", "--algorithm", "naive", "--restarts", "0"],
     ["planarize", "--algorithm", "cactus+", "--restarts", "0"],
     ["run", "--algorithms", "cactus", "--workers", "0"],
+    ["run", "--algorithms", "cactus", "--seeds=-7,7"],
 ], ids=["run-restarts", "run-time-limit", "run-time-limit-inf", "run-time-limit-1e400",
         "exact-time-limit", "exact-time-limit-inf", "export-ilp-time-limit",
-        "planarize-restarts", "planarize-restarts-cactus+", "run-workers"])
+        "planarize-restarts", "planarize-restarts-cactus+", "run-workers", "run-negative-seed"])
 def test_cli_rejects_invalid_settings_up_front(tmp_path, capsys, argv):
     # Before, `run --restarts 0` made an error record per naive cell and
     # exited 2, `run --time-limit-ms 0` ran with no limit at all, and the
     # other commands died with a traceback.  An infinite limit made `run` die
-    # in the worker wait and `exact` run unbounded.
+    # in the worker wait and `exact` run unbounded.  Seeds -7 and 7 ran one
+    # computation as two cells, since Random(-7) draws what Random(7) draws.
     write_graph(complete_graph(5), tmp_path / "k5.el")
     out = tmp_path / "out.txt"
     if argv[0] == "run":
@@ -548,7 +566,10 @@ def test_cli_rejects_invalid_settings_up_front(tmp_path, capsys, argv):
      "bad generator spec 'regular:n=20,density=2,sed=5': unknown key 'sed'"),
     (["--algorithms", "cactus", "--gen", "regular:n=100,density=3,n=200"],
      "bad generator spec 'regular:n=100,density=3,n=200': repeated key 'n'"),
-], ids=["label", "family", "no-algorithms", "seeds", "gen-unknown-key", "gen-repeated-key"])
+    (["--algorithms", "cactus", "--gen", "regular:n=20,density=2,seed=-1"],
+     "bad generator spec 'regular:n=20,density=2,seed=-1': seed must be >= 0, got -1"),
+], ids=["label", "family", "no-algorithms", "seeds", "gen-unknown-key", "gen-repeated-key",
+        "gen-negative-seed"])
 def test_cli_run_refuses_bad_label_and_family(tmp_path, capsys, argv, message):
     # The label and family used to pass the CLI and come back as `error`
     # records (exit 2), the family one with n = m = 0; `--algorithms ,` ran
@@ -680,7 +701,7 @@ def test_aggregate_and_plot_files_quote_labels(tmp_path):
     for text in emit("a,b").values():
         rows = list(csv.reader(io.StringIO(text)))
         assert {len(row) for row in rows} == {len(rows[0])}
-    # Without one, the files are exactly what the f-string writers produced.
+    # Without one, no field is quoted.
     assert emit("s") == {
         "agg.csv": (
             "group,algorithm,ok_count,timeout_count,rel_min,rel_avg,rel_max\n"
@@ -688,7 +709,9 @@ def test_aggregate_and_plot_files_quote_labels(tmp_path):
             "s:10,cactus+,1,0,0.666667,0.666667,0.666667\n"
             "s:10,naive,0,1,,,\n"
         ),
-        "series_bm.csv": "x,rel_min,rel_avg,rel_max\n10,1.000000,1.000000,1.000000\n",
-        "series_cactusplus.csv": "x,rel_min,rel_avg,rel_max\n10,0.666667,0.666667,0.666667\n",
-        "series_naive.csv": "x,rel_min,rel_avg,rel_max\n",
+        "series_bm.csv": "set,x,rel_min,rel_avg,rel_max\ns,10,1.000000,1.000000,1.000000\n",
+        "series_cactusplus.csv": (
+            "set,x,rel_min,rel_avg,rel_max\ns,10,0.666667,0.666667,0.666667\n"
+        ),
+        "series_naive.csv": "set,x,rel_min,rel_avg,rel_max\n",
     }

@@ -98,6 +98,12 @@ def test_spec_rejects_unknown_family():
         GeneratorSpec("foo", 10, 2, 0)
 
 
+def test_spec_rejects_negative_seed():
+    # Random(-1) draws what Random(1) draws: s-1 would name a copy of s1.
+    with pytest.raises(GeneratorError, match="seed must be >= 0"):
+        GeneratorSpec("regular", 10, 2, -1)
+
+
 def test_spec_labels():
     spec = GeneratorSpec("regular", 100, 3, 2)
     assert spec.label() == "regular_n100_d3_s2"

@@ -17,7 +17,8 @@ from maxplanar.heuristics import (
     grow_maximal,
     run_algorithm,
 )
-from maxplanar.planarity import is_planar
+from maxplanar.planarity import edge_addition_subgraph, is_planar
+from maxplanar.planarity._kernel import PlanarityKernel
 from maxplanar.planarity.types import NonPlanarStartError
 from oracles import maximal_planar_subgraph_sizes
 
@@ -56,30 +57,101 @@ def test_grow_maximal_k33(k33):
         assert_maximal(k33, kept)
 
 
-def test_grow_maximal_runs_engine_once_per_test(monkeypatch, k5, k33):
-    # An edge that bridges two components, or that no planar graph could
-    # hold, is decided without the engine; every other edge costs exactly
-    # one engine call.  The benchmark counts growth tests by these calls.
-    engine = heuristics.edge_addition_run
-    verdicts = []
+def _watch_growth(monkeypatch) -> tuple[list[tuple[int, int]], list[bool]]:
+    """Record the candidates whose plus-edge kernel goes to the engine, and
+    the engine's verdicts."""
+    tested: list[tuple[int, int]] = []
+    verdicts: list[bool] = []
+    plus_edge, engine = PlanarityKernel.plus_edge, heuristics.edge_addition_run
+
+    def watched_plus_edge(self, a, b):
+        plus = plus_edge(self, a, b)
+        if plus is not None:
+            tested.append((a, b))
+        return plus
 
     def counting(*args, **kwargs):
         result = engine(*args, **kwargs)
         verdicts.append(result[0])
         return result
 
+    monkeypatch.setattr(PlanarityKernel, "plus_edge", watched_plus_edge)
     monkeypatch.setattr(heuristics, "edge_addition_run", counting)
+    return tested, verdicts
+
+
+def test_grow_maximal_runs_engine_once_per_test(monkeypatch, k5, k33):
+    # An edge that bridges two components, that no planar graph could hold,
+    # that leaves its component's kernel as it is, or that an earlier reject
+    # settled, is decided without the engine; every other edge costs exactly
+    # one engine call.  The benchmark counts growth tests by these calls.
+    tested, verdicts = _watch_growth(monkeypatch)
     for seed in range(8):
-        # K3,3: five bridges span it; of the other four edges, the last
-        # would complete K3,3 and is the only reject.
+        # K3,3: five bridges span it.  The first three other edges meet an
+        # empty kernel (at most two independent cycles reduce away); the
+        # last would complete K3,3 against the kernel K4, and is the only
+        # engine run.
+        tested.clear()
         verdicts.clear()
         assert len(grow_maximal(k33, frozenset(), seed)) == 8
-        assert verdicts == [True, True, True, False]
-        # K5: four bridges, then five accepted tests reach 3n - 6 = 9 edges,
-        # and the Euler bound drops the last edge untested.
+        assert len(tested) == 1 and verdicts == [False]
+        # K5: four bridges, then five accepts reach 3n - 6 = 9 edges, the
+        # first three against an empty kernel; the Euler bound drops the
+        # last edge untested.
+        tested.clear()
         verdicts.clear()
         assert len(grow_maximal(k5, frozenset(), seed)) == 9
-        assert verdicts == [True] * 5
+        assert len(tested) == len(verdicts) <= 2
+        assert all(verdicts)
+
+
+def test_grow_maximal_reject_settles_edges_in_its_closures(monkeypatch):
+    # K5 less the edge 0-1, with 0-2 subdivided by 5 and 1-3 by 6: that is
+    # the kernel, with 5 located in its edge 0-2 and 6 in 1-3.  Rejecting
+    # 0-1 settles 5-6, whose ends lie in the closures of 0 and 1, so the
+    # engine never sees 5-6; rejecting 5-6 first settles only itself.
+    start = [(0, 5), (5, 2), (1, 6), (6, 3), (0, 3), (0, 4), (1, 2), (1, 4),
+             (2, 3), (2, 4), (3, 4)]
+    g = Graph(7, tuple(start + [(0, 1), (5, 6)]))
+    tested, verdicts = _watch_growth(monkeypatch)
+    firsts = set()
+    for seed in range(8):
+        tested.clear()
+        verdicts.clear()
+        assert grow_maximal(g, frozenset(range(len(start))), seed) == frozenset(range(11))
+        if tested[0] == (0, 1):
+            assert tested == [(0, 1)] and verdicts == [False]
+        else:
+            assert tested == [(5, 6), (0, 1)] and verdicts == [False, False]
+        firsts.add(tested[0])
+    assert firsts == {(0, 1), (5, 6)}
+
+
+@given(st.integers(0, 2**30))
+@settings(max_examples=60, deadline=None)
+def test_grow_maximal_verdicts_without_engine_match_networkx(draw):
+    # Replays growth in its seed-shuffled order and checks each edge decided
+    # without an engine run: kept iff planar with the edges kept before it.
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(draw)
+    n = rng.randint(3, 40)
+    g = random_graph(n, rng.randint(n, 4 * n), rng)
+    share = rng.random()
+    start = frozenset(e for e in sorted(edge_addition_subgraph(g, draw)) if rng.random() < share)
+    seed = rng.randrange(SEED_SPACE)
+    with pytest.MonkeyPatch.context() as mp:
+        tested, _ = _watch_growth(mp)
+        kept = grow_maximal(g, start, seed)
+    order = [e for e in range(len(g.edges)) if e not in start]
+    random.Random(seed).shuffle(order)
+    by_engine = set(tested)
+    h = nx.Graph(g.edges[e] for e in start)
+    for eid in order:
+        h.add_edge(*g.edges[eid])
+        if g.edges[eid] not in by_engine:
+            assert nx.check_planarity(h)[0] == (eid in kept)
+        if eid not in kept:
+            h.remove_edge(*g.edges[eid])
 
 
 def test_grow_maximal_rejects_nonplanar_start(k5):

@@ -100,7 +100,8 @@ def test_kernel_plus_edge_verdict_matches_networkx(drawn):
         a, b = rng.sample(verts, 2)
         if h.has_edge(a, b):
             continue
-        n, plus = k.plus_edge(a, b)
+        # None means the kernel as it is, whose verdict is the input's.
+        n, plus = k.plus_edge(a, b) or (k.n, k.edges)
         h.add_edge(a, b)
         assert edge_addition_run(n, plus)[0] == nx.check_planarity(h)[0]
         h.remove_edge(a, b)
@@ -160,8 +161,8 @@ def test_plus_edge_inside_series_parallel_piece_leaves_kernel():
     g = [(0, 4), (4, 5), (5, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     k = PlanarityKernel(g)
     assert k.n == 4
-    assert k.plus_edge(4, 5) == (k.n, k.edges)
-    assert k.plus_edge(0, 5) == (k.n, k.edges)
+    assert k.plus_edge(4, 5) is None
+    assert k.plus_edge(0, 5) is None
     # To a kernel vertex off the piece, the edge subdivides the piece's
     # kernel edge 0-1 by a new vertex 4 and joins it to 2.
     n, plus = k.plus_edge(5, 2)
@@ -169,3 +170,15 @@ def test_plus_edge_inside_series_parallel_piece_leaves_kernel():
     assert sorted((min(e), max(e)) for e in plus) == [
         (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4)
     ]
+
+
+def test_closure_of_a_kernel_vertex_takes_the_pieces_at_it():
+    # K4 on 0..3 with 0-1 subdivided by 4, 5 and a pendant 6 at 5, and 2-3
+    # subdivided by 7: 4, 5 and 6 lie in the kernel edge 0-1, and 7 in 2-3.
+    g = [(0, 4), (4, 5), (5, 1), (5, 6), (0, 2), (0, 3), (1, 2), (1, 3), (2, 7), (7, 3)]
+    k = PlanarityKernel(g)
+    assert k.n == 4
+    assert sorted(k.closure(0)) == [0, 4, 5, 6]
+    assert sorted(k.closure(2)) == [2, 7]
+    assert sorted(k.closure(6)) == sorted(k.closure(4)) == [4, 5, 6]
+    assert k.closure(7) == [7]
