@@ -136,3 +136,26 @@ def maximal_planar_subgraph_sizes(g: Graph) -> set[int]:
             continue
         sizes.add(len(ss))
     return sizes
+
+
+def triangles_in(g: Graph, ids) -> list[tuple[int, int, int]]:
+    """The 3-cycles of g's spanning subgraph on the edge ids `ids`, each as
+    its three edge ids in ascending order, in ascending order.
+
+    These are the triangles of a triangular cactus: neither its triangle nor
+    its connector edges close any other cycle.
+    """
+    by_ends = {frozenset(g.edges[e]): e for e in ids}
+    nbrs: list[set[int]] = [set() for _ in range(g.vertex_count)]
+    for e in ids:
+        a, b = g.edges[e]
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    return sorted(
+        tuple(sorted(by_ends[frozenset(p)] for p in ((a, b), (a, c), (b, c))))
+        for a in range(g.vertex_count)
+        for b in nbrs[a]
+        if a < b
+        for c in nbrs[a] & nbrs[b]
+        if b < c
+    )
