@@ -3,10 +3,11 @@
 Subcommands: gen, run, aggregate, exact, planarize, export-ilp.
 Exit codes: 0 on success, 2 when a suite finished with error/timeout
 records (a `run` instance that fails to load is one), 1 on any other input
-error: a bad setting, a missing or malformed file, or an output path that
-cannot be written.  That error is reported as one `error: ...` line on
-stderr.  The library raises every input error as a ValueError; `main` is
-the one place that reports it.
+error: a usage error, a bad setting, a missing or malformed file, or an
+output path that cannot be written.  That error is reported as one
+`error: ...` line on stderr.  The library raises every input error as a
+ValueError, and so does the argument parser; `main` is the one place that
+reports it.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .bench import (
     InstanceRef,
@@ -180,8 +182,15 @@ def _cmd_export_ilp(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a ValueError, for `main` to report."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="maxplanar",
         description="Maximum planar subgraph algorithms and benchmarks",
     )
@@ -249,9 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

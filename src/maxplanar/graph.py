@@ -90,16 +90,17 @@ def spanning_forest(g: Graph) -> EdgeSet:
 
 
 class DisjointSets:
-    """Union-find over vertex ids 0..n-1 with path compression and ranks.
+    """Union-find over vertex ids 0..n-1 with path compression and union by
+    size; `size[r]` is the vertex count of the class whose root is r.
 
     Single-owner mutable state; not meant to be shared between workers.
     """
 
-    __slots__ = ("parent", "rank")
+    __slots__ = ("parent", "size")
 
     def __init__(self, n: int) -> None:
         self.parent = list(range(n))
-        self.rank = [0] * n
+        self.size = [1] * n
 
     def find(self, x: int) -> int:
         parent = self.parent
@@ -115,9 +116,8 @@ class DisjointSets:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return False
-        if self.rank[ra] < self.rank[rb]:
+        if self.size[ra] < self.size[rb]:
             ra, rb = rb, ra
         self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
+        self.size[ra] += self.size[rb]
         return True

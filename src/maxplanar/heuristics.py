@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph import DisjointSets, EdgeSet, Graph, adjacency
 from .planarity import edge_addition_subgraph, is_planar
@@ -37,15 +37,6 @@ class SubgraphResult:
     maximal: bool
 
 
-@dataclass
-class CactusForest:
-    """Greedy triangular cactus: triangles plus forest connectors."""
-
-    triangles: list[tuple[int, int, int]] = field(default_factory=list)
-    connector_edges: EdgeSet = frozenset()
-    triangle_edges: EdgeSet = frozenset()
-
-
 def grow_maximal(g: Graph, start: EdgeSet, seed: int) -> EdgeSet:
     """Grow `start` to an inclusionwise maximal planar edge set.
 
@@ -55,11 +46,12 @@ def grow_maximal(g: Graph, start: EdgeSet, seed: int) -> EdgeSet:
     lost, so an edge rejected earlier would be rejected against any superset.
 
     An edge that joins two components is kept untested, and one that breaks
-    its component's Euler bound is dropped untested.  The others meet the
-    planarity kernel of their component (trees peeled, degree-2 chains
-    suppressed, parallel edges merged), built at the first of them and
-    reused until an accepted edge changes the component.  As planarity is
-    closed under minors, two rules spare the engine.  An edge that leaves
+    its component's Euler bound is dropped untested: so is every edge once
+    the kept set has 3n - 6 edges, as it is then one component.  The others
+    meet the planarity kernel of their component (trees peeled, degree-2
+    chains suppressed, parallel edges merged), built at the first of them
+    and reused until an accepted edge changes the component.  As planarity
+    is closed under minors, two rules spare the engine.  An edge that leaves
     the kernel as it is is kept, since a planar component's kernel is
     planar.  An engine reject drops, each at its turn, every edge of g
     between the closures of the rejected ends' kernel locations: each such
@@ -69,34 +61,30 @@ def grow_maximal(g: Graph, start: EdgeSet, seed: int) -> EdgeSet:
     """
     g.check_edge_set(start)
     n = g.vertex_count
-    # Per component root: its edges as endpoint pairs, and its vertex count.
+    ds = DisjointSets(n)  # components, with their vertex counts
+    # Per component root: its edges as endpoint pairs.
     comp_edges: dict[int, list[tuple[int, int]]] = {}
-    comp_size = [1] * n
     # Per component root: the kernel of the component as it stands, built at
     # its first test and dropped when the component changes.
     kernels: dict[int, PlanarityKernel] = {}
-    ds = DisjointSets(n)
 
-    def absorb(eid: int) -> bool:
-        """Add edge to the component structures; False if it closes a cycle."""
+    def absorb(eid: int) -> None:
+        """Add edge to the component structures."""
         a, b = g.edges[eid]
         ra, rb = ds.find(a), ds.find(b)
         kernels.pop(ra, None)
         kernels.pop(rb, None)
         if ra == rb:
             comp_edges.setdefault(ra, []).append((a, b))
-            return False
+            return
         ds.union(a, b)
-        root = ds.find(a)
         ea = comp_edges.pop(ra, [])
         eb = comp_edges.pop(rb, [])
         if len(ea) < len(eb):
             ea, eb = eb, ea
         ea.extend(eb)
         ea.append((a, b))
-        comp_edges[root] = ea
-        comp_size[root] = comp_size[ra] + comp_size[rb]
-        return True
+        comp_edges[ds.find(a)] = ea
 
     start_ids = sorted(start)
     for eid in start_ids:
@@ -104,18 +92,15 @@ def grow_maximal(g: Graph, start: EdgeSet, seed: int) -> EdgeSet:
     if start and not is_planar(g, start_ids):
         raise NonPlanarStartError("starting edge set is not planar")
 
-    rest = [e for e in range(len(g.edges)) if e not in start]
+    kept = set(start)
+    rest = [e for e in range(len(g.edges)) if e not in kept]
     rng = random.Random(seed)
     rng.shuffle(rest)
 
-    kept = set(start)
     # Edges a rejected test has shown non-planar against every later component.
     settled: set[int] = set()
     adj = adjacency(n, g.edges)
-    max_edges = 3 * n - 6 if n >= 3 else n - 1
     for eid in rest:
-        if len(kept) >= max_edges:
-            break
         if eid in settled:
             continue
         a, b = g.edges[eid]
@@ -126,7 +111,7 @@ def grow_maximal(g: Graph, start: EdgeSet, seed: int) -> EdgeSet:
             kept.add(eid)
             continue
         ce = comp_edges[ra]
-        nc = comp_size[ra]
+        nc = ds.size[ra]
         if nc >= 3 and len(ce) + 1 > 3 * nc - 6:
             continue  # Euler bound: cannot be planar
         kernel = kernels.get(ra)
@@ -143,16 +128,17 @@ def grow_maximal(g: Graph, start: EdgeSet, seed: int) -> EdgeSet:
     return frozenset(kept)
 
 
-def build_cactus(g: Graph, seed: int) -> CactusForest:
-    """Greedy triangular cactus forest plus connector edges.
+def build_cactus(g: Graph, seed: int) -> EdgeSet:
+    """Edge ids of a greedy triangular cactus forest plus connector edges.
 
     Triangle phase: edges are scanned once, in seed-shuffled order; a
-    triangle {u, v, w} over an edge (u, v) is accepted iff its three vertices
+    triangle {u, v, w} over an edge (u, v) is kept iff its three vertices
     lie in three distinct components, which keeps every edge in at most one
     cycle and every cycle a triangle.  One pass is saturated: components only
     merge afterwards, so an edge with no such triangle when scanned has none
-    later, and an accepted edge has both ends in one component from then on.
+    later, and a kept edge has both ends in one component from then on.
     Connector phase: remaining components are joined by edges in id order.
+    The triangles are the kept set's 3-cycles, since no other cycle closes.
     """
     n = g.vertex_count
     # Per vertex: {neighbour: edge id}, neighbours in ascending order.
@@ -162,8 +148,7 @@ def build_cactus(g: Graph, seed: int) -> CactusForest:
     order = list(range(len(g.edges)))
     rng.shuffle(order)
 
-    triangles: list[tuple[int, int, int]] = []
-    tri_edges: set[int] = set()
+    kept: set[int] = set()
     for eid in order:
         u, v = g.edges[eid]
         ru, rv = ds.find(u), ds.find(v)
@@ -171,35 +156,22 @@ def build_cactus(g: Graph, seed: int) -> CactusForest:
             continue
         if len(nbrs[u]) > len(nbrs[v]):
             u, v = v, u
-        hit = None
         big = nbrs[v]
         for w in nbrs[u]:
             if w in big:
                 rw = ds.find(w)
                 if rw != ru and rw != rv:
-                    hit = w
                     break
-        if hit is None:
+        else:
             continue
-        w = hit
         ds.union(u, v)
         ds.union(u, w)
-        tri_edges.add(eid)
-        tri_edges.add(nbrs[u][w])
-        tri_edges.add(big[w])
-        a, b = g.edges[eid]
-        triangles.append((a, b, w))
+        kept.update((eid, nbrs[u][w], big[w]))
 
-    connectors: set[int] = set()
     for eid, (a, b) in enumerate(g.edges):
         if ds.union(a, b):
-            connectors.add(eid)
-
-    return CactusForest(
-        triangles=triangles,
-        connector_edges=frozenset(connectors),
-        triangle_edges=frozenset(tri_edges),
-    )
+            kept.add(eid)
+    return frozenset(kept)
 
 
 ALGORITHMS = ("naive", "bm", "bm+", "cactus", "cactus+")
@@ -210,10 +182,10 @@ def run_algorithm(
 ) -> SubgraphResult:
     """Run and time the heuristic labelled `name`.
 
-    "bm" is the skip-mode pass and "cactus" the triangular cactus; a "+"
-    grows that start set to maximality.  "naive" grows the empty set
-    `restarts` times, from seeds drawn from Random(seed), and keeps the
-    largest result; the first wins ties, and its seed is reported.
+    The start set is empty for "naive", `edge_addition_subgraph` for "bm"
+    and `build_cactus` for "cactus"; a "+" grows it with `grow_maximal`.
+    "naive" grows `restarts` times, from seeds drawn from Random(seed), and
+    keeps the largest result; the first wins ties, and its seed is reported.
     """
     if name not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {name!r}")
@@ -229,11 +201,8 @@ def run_algorithm(
             if kept is None or len(grown) > len(kept):
                 kept, seed = grown, run_seed
     else:
-        if name.startswith("bm"):
-            kept = edge_addition_subgraph(g, seed)
-        else:
-            forest = build_cactus(g, seed)
-            kept = forest.triangle_edges | forest.connector_edges
+        start_set = edge_addition_subgraph if name.startswith("bm") else build_cactus
+        kept = start_set(g, seed)
         if name.endswith("+"):
             kept = grow_maximal(g, kept, seed)
     ms = (time.perf_counter() - t0) * 1000.0

@@ -63,7 +63,7 @@ def minimal_nonplanar_subset(
         if degree[a] > 1 and degree[b] > 1:
             if deadline is not None and time.monotonic() > deadline:
                 return None
-            if is_planar(g, trial):
+            if edge_addition_run(g.vertex_count, [g.edges[e] for e in trial])[0]:
                 continue
         kept = trial
         degree[a] -= 1

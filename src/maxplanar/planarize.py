@@ -134,10 +134,10 @@ def insert_edges_fixed(g: Graph, kept: EdgeSet, seed: int, shuffle: bool = True)
     (least arc first).  Faces are traced once; an insertion re-traces only
     the faces it changes.
     """
-    kept = frozenset(kept)
-    g.check_edge_set(kept)
+    kept_ids = sorted(kept)  # any collection of ids, repeats still visible
+    g.check_edge_set(kept_ids)
+    kept = frozenset(kept_ids)
     n = g.vertex_count
-    kept_ids = sorted(kept)
     sub_edges = [g.edges[e] for e in kept_ids]
     rotations = lr_embedding(n, sub_edges)
     if rotations is None:
@@ -175,7 +175,6 @@ def insert_edges_fixed(g: Graph, kept: EdgeSet, seed: int, shuffle: bool = True)
         rng = random.Random(seed)
         rng.shuffle(deferred)
 
-    dummies = 0
     for orig_eid in deferred:
         u, v = g.edges[orig_eid]
         if components.union(u, v):
@@ -208,7 +207,6 @@ def insert_edges_fixed(g: Graph, kept: EdgeSet, seed: int, shuffle: bool = True)
             c, f = a >> 1, a ^ 1
             far = tail[f]
             d = len(rot)
-            dummies += 1
             host_edges[c] = (tail[a], d)
             hid = add_edge((d, far), origin[c])
             rot[far][arc_pos[f]] = 2 * hid + 1
@@ -240,11 +238,11 @@ def insert_edges_fixed(g: Graph, kept: EdgeSet, seed: int, shuffle: bool = True)
         starts = [a for hid in segs for a in (2 * hid, 2 * hid + 1)]
         _trace_faces(starts, rot, tail, arc_pos, faces, arc_face, free)
 
-    host = Graph(n + dummies, tuple(host_edges))
+    host = Graph(len(rot), tuple(host_edges))
     emb = Embedding(tuple(tuple(a >> 1 for a in r) for r in rot))
     return PlanarizedGraph(
         host=host,
-        dummy_count=dummies,
+        dummy_count=len(rot) - n,
         embedding=emb,
         origin_map=tuple(origin),
         original_vertex_count=n,

@@ -29,7 +29,9 @@ from maxplanar.bench import (
 from maxplanar.cli import main
 from maxplanar.generate import GeneratorSpec
 from maxplanar.graphio import read_graph, write_graph
+from maxplanar.heuristics import run_algorithm
 from maxplanar.planarity import is_planar
+from maxplanar.planarize import insert_edges_fixed
 
 
 @pytest.fixture(autouse=True)
@@ -388,6 +390,60 @@ def test_cli_aggregate_round_trip(tmp_path):
     ]) == 0
     assert agg.read_text().startswith("group,algorithm")
     assert (tmp_path / "plots" / "series_cactusplus.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--gen", "regular:n=20,density=2,seed=0", "--algorithms", "cactus+",
+     "--seeds", "-7,7"],
+    ["exact"],
+    ["run", "--gen", "regular:n=20,density=2,seed=0", "--algorithms", "naive",
+     "--restarts", "x"],
+], ids=["seeds-read-as-option", "exact-without-instance", "restarts-not-an-int"])
+def test_cli_reports_usage_errors_on_one_line(tmp_path, capsys, argv):
+    # argparse used to print its usage block and exit 2, the code of a suite
+    # with failed cells.
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+def test_cli_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: maxplanar")
+
+
+def test_cli_run_set_label_names_the_records_set(tmp_path):
+    write_graph(complete_graph(5), tmp_path / "k5.el")
+    out = tmp_path / "rec.csv"
+    assert main(["run", "--instances", str(tmp_path / "k5.el"), "--set-label", "mine",
+                 "--algorithms", "cactus", "--workers", "1", "--out", str(out)]) == 0
+    assert [r.set_label for r in read_records_csv(out)] == ["mine"]
+
+
+def test_cli_aggregate_plot_prefix_names_the_series_files(tmp_path):
+    write_graph(complete_graph(5), tmp_path / "k5.el")
+    records = tmp_path / "rec.csv"
+    assert main(["run", "--instances", str(tmp_path / "k5.el"), "--algorithms", "bm,cactus+",
+                 "--workers", "1", "--out", str(records)]) == 0
+    plots = tmp_path / "plots"
+    assert main(["aggregate", "--records", str(records), "--out", str(tmp_path / "agg.csv"),
+                 "--plot-dir", str(plots), "--prefix", "fig"]) == 0
+    assert sorted(p.name for p in plots.iterdir()) == ["fig_bm.csv", "fig_cactusplus.csv"]
+
+
+def test_cli_planarize_order_id_inserts_in_id_order(tmp_path, capsys):
+    g = GeneratorSpec("regular", 30, 4, 3).build()
+    write_graph(g, tmp_path / "g.el")
+    kept = run_algorithm(g, "cactus+", 2).kept
+    by_id = insert_edges_fixed(g, kept, 2, shuffle=False).dummy_count
+    assert by_id != insert_edges_fixed(g, kept, 2).dummy_count  # the order matters here
+    assert main(["planarize", str(tmp_path / "g.el"), "--seed", "2", "--order", "id"]) == 0
+    assert f"crossings={by_id}\n" in capsys.readouterr().out
 
 
 def test_cli_planarize_and_exact(tmp_path, capsys):

@@ -94,6 +94,8 @@ def test_disjoint_sets_basics():
     assert ds.find(0) == ds.find(1)
     assert ds.find(2) != ds.find(0)
     assert len({ds.find(v) for v in range(4)}) == 3
+    assert ds.union(2, 0)
+    assert [ds.size[ds.find(v)] for v in range(4)] == [3, 3, 3, 1]
 
 
 def test_adjacency_lists_neighbour_and_edge_id(k4):

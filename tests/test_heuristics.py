@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -20,7 +21,7 @@ from maxplanar.heuristics import (
 from maxplanar.planarity import edge_addition_subgraph, is_planar
 from maxplanar.planarity._kernel import PlanarityKernel
 from maxplanar.planarity.types import NonPlanarStartError
-from oracles import maximal_planar_subgraph_sizes
+from oracles import maximal_planar_subgraph_sizes, triangles_in
 
 
 def assert_maximal(g: Graph, kept: frozenset[int]) -> None:
@@ -125,6 +126,27 @@ def test_grow_maximal_reject_settles_edges_in_its_closures(monkeypatch):
             assert tested == [(5, 6), (0, 1)] and verdicts == [False, False]
         firsts.add(tested[0])
     assert firsts == {(0, 1), (5, 6)}
+
+
+def test_grow_maximal_keeps_a_triangulating_start_without_the_engine(monkeypatch):
+    # A start with 3n - 6 edges on all n vertices is one component at its
+    # Euler bound, so every other edge is dropped untested.
+    rng = random.Random(4)
+    n = 30
+    edges, faces = [(0, 1), (1, 2), (0, 2)], [(0, 1, 2)]
+    for v in range(3, n):  # stack v into a random inner face
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        edges += [(a, v), (b, v), (c, v)]
+        faces += [(a, b, v), (b, c, v), (a, c, v)]
+    start = frozenset(range(len(edges)))
+    assert len(start) == 3 * n - 6
+    present = {frozenset(e) for e in edges}
+    others = [p for p in itertools.combinations(range(n), 2) if frozenset(p) not in present]
+    g = Graph(n, tuple(edges + rng.sample(others, 60)))
+    tested, verdicts = _watch_growth(monkeypatch)
+    for seed in range(4):
+        assert grow_maximal(g, start, seed) == start
+    assert tested == [] and verdicts == []
 
 
 @given(st.integers(0, 2**30))
@@ -246,13 +268,12 @@ def test_cactus_k33_is_spanning_tree(k33):
 
 def test_cactus_k5_two_triangles(k5):
     for seed in range(6):
-        forest = build_cactus(k5, seed)
-        assert len(forest.triangles) == 2
-        assert len(forest.triangle_edges) == 6
-        assert forest.connector_edges == frozenset()
-        r = run_algorithm(k5, "cactus", seed)
-        assert len(r.kept) == 6
-        assert connected_components(spanning_subgraph(k5, r.kept)) == [set(range(5))]
+        kept = build_cactus(k5, seed)
+        # Two triangles on five vertices share one; no connector is left.
+        assert len(triangles_in(k5, kept)) == 2
+        assert len(kept) == 6
+        assert run_algorithm(k5, "cactus", seed).kept == kept
+        assert connected_components(spanning_subgraph(k5, kept)) == [set(range(5))]
 
 
 def test_cactus_triangle_graph():
@@ -265,23 +286,17 @@ def test_cactus_structure_random():
     rng = random.Random(9)
     for trial in range(25):
         g = random_graph(rng.randint(3, 40), rng.randint(0, 120), rng)
-        forest = build_cactus(g, trial)
-        kept = forest.triangle_edges | forest.connector_edges
-        ids = {frozenset(e): eid for eid, e in enumerate(g.edges)}
+        kept = build_cactus(g, trial)
+        triangles = triangles_in(g, kept)
         # triangles pairwise edge-disjoint
-        seen: set[int] = set()
-        for (a, b, c) in forest.triangles:
-            tri = {ids[frozenset(p)] for p in ((a, b), (a, c), (b, c))}
-            assert not (tri & seen)
-            seen |= tri
-        assert seen == forest.triangle_edges
+        assert len({e for tri in triangles for e in tri}) == 3 * len(triangles)
         sub = spanning_subgraph(g, kept)
         assert is_planar(sub)
         assert connected_components(sub) == connected_components(g)
         # cactus: every edge in at most one cycle and every cycle a triangle
         # <=> m_kept == (n - #components) + #triangles
         comps = connected_components(g)
-        assert len(kept) == g.vertex_count - len(comps) + len(forest.triangles)
+        assert len(kept) == g.vertex_count - len(comps) + len(triangles)
 
 
 @given(st.integers(0, 2**30))
@@ -293,9 +308,9 @@ def test_cactus_triangle_phase_is_saturated(seed):
     n = rng.randint(3, 40)
     g = random_graph(n, rng.randint(0, 4 * n), rng)
     ds = DisjointSets(n)
-    for a, b, c in build_cactus(g, seed).triangles:
-        ds.union(a, b)
-        ds.union(a, c)
+    for tri in triangles_in(g, build_cactus(g, seed)):
+        for e in tri:
+            ds.union(*g.edges[e])
     nbrs = [set() for _ in range(n)]
     for a, b in g.edges:
         nbrs[a].add(b)

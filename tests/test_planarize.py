@@ -8,7 +8,7 @@ import pytest
 from conftest import random_graph
 from maxplanar.exact import exact_skewness
 from maxplanar.generate import GeneratorSpec
-from maxplanar.graph import Graph
+from maxplanar.graph import Graph, GraphError
 from maxplanar.heuristics import cactus_plus, run_algorithm
 from maxplanar.planarity import is_planar, validate_embedding
 from maxplanar.planarity.types import NonPlanarStartError
@@ -101,6 +101,13 @@ def test_accepts_any_edge_id_collection(k5):
     for ids in (sorted(kept), set(kept), iter(sorted(kept, reverse=True))):
         p = insert_edges_fixed(k5, ids, 0)
         assert (p.host, p.embedding, p.origin_map) == (want.host, want.embedding, want.origin_map)
+
+
+def test_refuses_repeated_edge_ids(k5):
+    # Repeating id 0 used to be deduplicated away: K5 was planarized with
+    # one dummy from the nine ids 0..8.
+    with pytest.raises(GraphError, match="edge id 0 repeated"):
+        insert_edges_fixed(k5, [0, 0, 1, 2, 3, 4, 5, 6, 7, 8], 0)
 
 
 def test_disconnected_components_insert_without_crossings():
