@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import petersen, random_graph, spanning_subgraph
+from conftest import disjoint_union, petersen, random_graph, spanning_subgraph
 from maxplanar.graph import Graph, GraphError, connected_components, spanning_forest
 from maxplanar.heuristics import grow_maximal
 from maxplanar.planarity import (
@@ -79,6 +79,34 @@ def test_embed_triangle_euler():
     assert out.planar
     assert len(out.embedding.faces(g)) == 2
     validate_embedding(g, out.embedding)
+
+
+# A planar rotation system of K4 (four faces; see test_faces_pinned_literally).
+K4_PLANAR = ((0, 2, 1), (0, 3, 4), (3, 1, 5), (5, 2, 4))
+
+
+def test_validate_embedding_refuses_missing_incidence(k4):
+    with pytest.raises(AssertionError, match="rotation of vertex 0 does not match"):
+        validate_embedding(k4, Embedding(((0, 2),) + K4_PLANAR[1:]))
+
+
+def test_validate_embedding_refuses_nonplanar_rotation(k4):
+    # Reversing one vertex's rotation leaves two faces: K4 drawn on a torus.
+    emb = Embedding(((0, 1, 2),) + K4_PLANAR[1:])
+    assert len(emb.faces(k4)) == 2
+    with pytest.raises(AssertionError, match="Euler"):
+        validate_embedding(k4, emb)
+
+
+def test_validate_embedding_refuses_nonplanar_component(k4, k5):
+    # No rotation system of K5 is planar, whatever the other components are.
+    validate_embedding(disjoint_union(k4, isolated=1), Embedding(K4_PLANAR + ((),)))
+    g = disjoint_union(k4, k5, isolated=1)
+    incident = [[e for e, edge in enumerate(g.edges) if v in edge] for v in range(4, 9)]
+    orders = [[(r[0],) + p for p in itertools.permutations(r[1:])] for r in incident]
+    for k5_rotations in itertools.product(*orders):
+        with pytest.raises(AssertionError, match="Euler"):
+            validate_embedding(g, Embedding(K4_PLANAR + k5_rotations + ((),)))
 
 
 def test_faces_pinned_literally(k4):
