@@ -371,9 +371,9 @@ def read_records_csv(path: str | Path) -> list[BenchmarkRecord]:
             inst, set_label, n, m, algo, seed, kept, density, ms, status, cross = row
             if status not in ("ok", "timeout", "memory", "error"):
                 raise ValueError(f"unknown status {status!r}")
-            values = (int(n), int(m), int(kept), float(density), float(ms), int(cross or 0))
+            values = [int(x) for x in (n, m, seed, kept, cross or 0)] + [float(density), float(ms)]
             if not all(0 <= x < math.inf for x in values):
-                raise ValueError("a count, density or runtime is negative or not finite")
+                raise ValueError("a count, seed, density or runtime is negative or not finite")
             records.append(BenchmarkRecord(
                 inst, set_label, int(n), int(m), algo, int(seed), int(kept),
                 float(density), float(ms), status, int(cross) if cross else None,

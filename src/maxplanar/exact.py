@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Collection
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .graph import EdgeSet, Graph, connected_components, spanning_forest
@@ -82,7 +82,7 @@ def check_time_limit(time_limit_ms: float) -> None:
 def exact_skewness(
     g: Graph,
     time_limit_ms: float,
-    initial_incumbent: Collection[int] | None = None,
+    initial_incumbent: Iterable[int] | None = None,
 ) -> ExactResult:
     """Branch-and-bound over removed-edge sets.
 
@@ -104,11 +104,10 @@ def exact_skewness(
 
     best_removed: frozenset[int] | None = None
     if initial_incumbent is not None:
-        g.check_edge_set(initial_incumbent)  # before frozenset() hides a repeated id
-        initial_incumbent = frozenset(initial_incumbent)
-        if not _is_planar_ids(g, sorted(initial_incumbent)):
+        incumbent = g.check_edge_set(initial_incumbent)
+        if not _is_planar_ids(g, incumbent):
             raise NonPlanarStartError("initial incumbent is not planar")
-        best_removed = frozenset(all_ids) - initial_incumbent
+        best_removed = frozenset(all_ids).difference(incumbent)
     best_skew = len(best_removed) if best_removed is not None else m + 1
 
     pool: dict[EdgeSet, None] = {}  # witnesses in first-found order, without repeats
@@ -174,11 +173,12 @@ def exact_skewness(
     )
 
 
-def export_ilp(g: Graph, pool: list[EdgeSet]) -> str:
+def export_ilp(g: Graph, pool: list[Iterable[int]]) -> str:
     """LP-format model: binary x<edge id> per edge, maximize their sum,
     per component C with more than 3|V(C)| - 6 edges the Euler row
-    sum(x[E(C)]) <= 3|V(C)| - 6, and per pooled witness K the row
-    sum(x[K]) <= |K| - 1: at least one edge of K must go.  Byte-deterministic."""
+    sum(x[E(C)]) <= 3|V(C)| - 6, and per pooled witness K (ids read by
+    `Graph.check_edge_set`) the row sum(x[K]) <= |K| - 1: at least one edge
+    of K must go.  Byte-deterministic."""
     lines = ["Maximize"]
     lines.append(" obj: " + _wrap_sum([f"x{e}" for e in range(len(g.edges))]))
     euler = _euler_rows(g)
@@ -187,7 +187,8 @@ def export_ilp(g: Graph, pool: list[EdgeSet]) -> str:
         for i, (es, cap) in enumerate(euler):
             lines.append(f" e{i}: {_wrap_sum([f'x{e}' for e in es])} <= {cap}")
         for i, k in enumerate(pool):
-            terms = _wrap_sum([f"x{e}" for e in sorted(k)])
+            k = sorted(g.check_edge_set(k))
+            terms = _wrap_sum([f"x{e}" for e in k])
             lines.append(f" k{i}: {terms} <= {len(k) - 1}")
     lines.append("Binary")
     for e in range(len(g.edges)):

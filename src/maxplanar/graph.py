@@ -8,7 +8,7 @@ Graphs are immutable after construction and safe to share between workers.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Collection, Sequence, Set as AbstractSet
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 # An EdgeSet is a plain frozenset of edge ids of some host Graph.
@@ -49,14 +49,17 @@ class Graph:
     def all_edges(self) -> EdgeSet:
         return frozenset(range(len(self.edges)))
 
-    def check_edge_set(self, keep: Collection[int]) -> None:
-        """Raise GraphError naming an id of `keep` that is not an edge id here or repeats."""
-        if keep and (min(keep) < 0 or max(keep) >= len(self.edges)):
-            bad = min(keep) if min(keep) < 0 else max(keep)
+    def check_edge_set(self, ids: Iterable[int]) -> list[int]:
+        """The edge ids `ids` (any iterable, read once) as a list in their given
+        order; GraphError names an id that is not an edge id here or repeats."""
+        ids = list(ids)
+        if ids and (min(ids) < 0 or max(ids) >= len(self.edges)):
+            bad = min(ids) if min(ids) < 0 else max(ids)
             raise GraphError(f"edge id {bad} not in host graph")
-        if not isinstance(keep, AbstractSet) and len(set(keep)) < len(keep):
-            bad = next(e for e, count in Counter(keep).items() if count > 1)
+        if len(set(ids)) < len(ids):
+            bad = next(e for e, count in Counter(ids).items() if count > 1)
             raise GraphError(f"edge id {bad} repeated")
+        return ids
 
 
 def adjacency(n: int, edges: Sequence[tuple[int, int]]) -> list[list[tuple[int, int]]]:

@@ -16,9 +16,10 @@ that cannot be read or written raises ValueError naming its path.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from pathlib import Path
 
-from .graph import EdgeSet, Graph
+from .graph import Graph
 
 
 class ParseError(ValueError):
@@ -220,10 +221,10 @@ def write_graph(g: Graph, path: str | Path) -> None:
     write_subgraph(g, g.all_edges(), path)
 
 
-def write_subgraph(g: Graph, kept: EdgeSet, path: str | Path) -> None:
-    """Write the kept edges of g (all vertices retained); the extension picks the format."""
-    g.check_edge_set(kept)
-    pairs = [g.edges[eid] for eid in sorted(kept)]
+def write_subgraph(g: Graph, kept: Iterable[int], path: str | Path) -> None:
+    """Write the edges `kept` of g, ids read by `Graph.check_edge_set`, and all
+    its vertices; the extension picks the format."""
+    pairs = [g.edges[eid] for eid in sorted(g.check_edge_set(kept))]
     if detect_format(path) == "edge_list":
         lines = [str(g.vertex_count)] + [f"{a} {b}" for a, b in pairs]
     else:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .graph import DisjointSets, EdgeSet, Graph, adjacency
@@ -37,8 +38,9 @@ class SubgraphResult:
     maximal: bool
 
 
-def grow_maximal(g: Graph, start: EdgeSet, seed: int) -> EdgeSet:
-    """Grow `start` to an inclusionwise maximal planar edge set.
+def grow_maximal(g: Graph, start: Iterable[int], seed: int) -> EdgeSet:
+    """Grow the edge ids `start`, read by `Graph.check_edge_set`, to an
+    inclusionwise maximal planar edge set.
 
     The edges outside `start` are attempted once each, in a seed-shuffled
     uniformly random order; an edge is kept iff the subgraph stays planar at
@@ -59,7 +61,7 @@ def grow_maximal(g: Graph, start: EdgeSet, seed: int) -> EdgeSet:
     any growth (see `PlanarityKernel.closure`).  Every other edge costs one
     engine run on the kernel plus the edge.
     """
-    g.check_edge_set(start)
+    start = g.check_edge_set(start)
     n = g.vertex_count
     ds = DisjointSets(n)  # components, with their vertex counts
     # Per component root: its edges as endpoint pairs.
@@ -86,10 +88,9 @@ def grow_maximal(g: Graph, start: EdgeSet, seed: int) -> EdgeSet:
         ea.append((a, b))
         comp_edges[ds.find(a)] = ea
 
-    start_ids = sorted(start)
-    for eid in start_ids:
+    for eid in start:
         absorb(eid)
-    if start and not is_planar(g, start_ids):
+    if start and not is_planar(g, start):
         raise NonPlanarStartError("starting edge set is not planar")
 
     kept = set(start)

@@ -14,14 +14,9 @@ from .types import Embedding, KuratowskiSubdivision, PlanarGraphError, Planarity
 
 
 def is_planar(g: Graph, ids: Iterable[int] | None = None) -> bool:
-    """Planarity of g, or of its spanning subgraph on the edge ids `ids`.
-    Raises GraphError on an id that is not an edge of g."""
-    if ids is None:
-        edges = g.edges
-    else:
-        ids = list(ids)
-        g.check_edge_set(ids)
-        edges = [g.edges[e] for e in ids]
+    """Planarity of g, or of its spanning subgraph on the edge ids `ids`,
+    read by `Graph.check_edge_set`."""
+    edges = g.edges if ids is None else [g.edges[e] for e in g.check_edge_set(ids)]
     planar, _ = edge_addition_run(g.vertex_count, edges)
     return planar
 
@@ -46,7 +41,8 @@ def extract_kuratowski(g: Graph) -> KuratowskiSubdivision:
 def minimal_nonplanar_subset(
     g: Graph, ids: Iterable[int], deadline: float | None = None
 ) -> frozenset[int] | None:
-    """Edge-minimal non-planar subset of the non-planar edge-id set `ids`.
+    """Edge-minimal non-planar subset of the non-planar edge ids `ids`, read
+    by `Graph.check_edge_set`.
 
     In the order of `ids`, drop each edge whose removal keeps the rest
     non-planar; what survives is a Kuratowski subdivision.  An edge with an
@@ -54,8 +50,7 @@ def minimal_nonplanar_subset(
     Returns None once `deadline` (a `time.monotonic()` value, checked before
     each test) has passed.
     """
-    kept = list(ids)
-    g.check_edge_set(kept)
+    kept = g.check_edge_set(ids)
     degree = Counter(v for e in kept for v in g.edges[e])
     for eid in list(kept):
         a, b = g.edges[eid]
@@ -71,15 +66,15 @@ def minimal_nonplanar_subset(
     return frozenset(kept)
 
 
-def classify_witness(g: Graph, edge_ids: EdgeSet) -> KuratowskiSubdivision:
-    """Classify an edge set by its degree signature: five branch vertices of
-    degree 4 (K5) or six of degree 3 (K3,3), every other vertex of degree 2.
+def classify_witness(g: Graph, edge_ids: Iterable[int]) -> KuratowskiSubdivision:
+    """Classify edge ids, read by `Graph.check_edge_set`, by their degree
+    signature: five branch vertices of degree 4 (K5) or six of degree 3
+    (K3,3), every other vertex of degree 2.
 
-    Raises PlanarGraphError on any other signature, and GraphError on an id
-    that is not an edge of g.  Only degrees are read; non-planarity and
-    minimality are witness_is_valid's checks.
+    Raises PlanarGraphError on any other signature.  Only degrees are read;
+    non-planarity and minimality are witness_is_valid's checks.
     """
-    g.check_edge_set(edge_ids)
+    edge_ids = frozenset(g.check_edge_set(edge_ids))
     deg = Counter(v for e in edge_ids for v in g.edges[e])
     branch = sorted(v for v, d in deg.items() if d != 2)
     degrees = sorted(deg[v] for v in branch)
@@ -136,37 +131,21 @@ def witness_is_valid(g: Graph, w: KuratowskiSubdivision) -> bool:
 def validate_embedding(g: Graph, emb: Embedding) -> None:
     """Raise AssertionError unless emb is a planar embedding of g.
 
-    Checks that rotations contain exactly the incident edges of each vertex
-    and that Euler's formula V - E + F = 2 holds on every connected component
-    with faces obtained by tracing the rotation system.
+    Checks that rotations contain exactly the incident edges of each vertex,
+    then Euler's formula over the whole graph with faces traced from the
+    rotation system: V - E + F = 2C - I for C components, I of them isolated
+    vertices.  A component with edges has V - E + F = 2 - 2 * genus <= 2 and
+    an isolated vertex 1, so the sum is 2C - I only when all are planar.
     """
     if len(emb.rotations) != g.vertex_count:
         raise AssertionError("rotation count != vertex count")
     for v, incident in enumerate(adjacency(g.vertex_count, g.edges)):
         if sorted(emb.rotations[v]) != sorted(e for _, e in incident):
             raise AssertionError(f"rotation of vertex {v} does not match incidences")
-
-    comps = connected_components(g)
-    comp_of = [0] * g.vertex_count
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    face_per_comp = [0] * len(comps)
-    for face in emb.faces(g):
-        face_per_comp[comp_of[face[0][0]]] += 1
-    edges_per_comp = [0] * len(comps)
-    for a, _ in g.edges:
-        edges_per_comp[comp_of[a]] += 1
-    for ci, comp in enumerate(comps):
-        v_c = len(comp)
-        e_c = edges_per_comp[ci]
-        f_c = face_per_comp[ci]
-        if e_c == 0:
-            continue  # single vertex: no arcs, no faces traced
-        if v_c - e_c + f_c != 2:
-            raise AssertionError(
-                f"Euler check failed on component {ci}: V={v_c} E={e_c} F={f_c}"
-            )
+    v, e, f = g.vertex_count, len(g.edges), len(emb.faces(g))
+    c, i = len(connected_components(g)), sum(not r for r in emb.rotations)
+    if v - e + f != 2 * c - i:
+        raise AssertionError(f"Euler check failed: V={v} E={e} F={f} C={c} I={i}")
 
 
 __all__ = [

@@ -23,9 +23,10 @@ route exactly like a fresh trace.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .graph import DisjointSets, EdgeSet, Graph
+from .graph import DisjointSets, Graph
 from .planarity._lr import lr_embedding
 from .planarity.types import Embedding, NonPlanarStartError, arc_rotations, trace_faces
 
@@ -125,8 +126,11 @@ def _route(
     return path[::-1], crossed[::-1]
 
 
-def insert_edges_fixed(g: Graph, kept: EdgeSet, seed: int, shuffle: bool = True) -> PlanarizedGraph:
-    """Insert all non-subgraph edges into a fixed embedding of the subgraph.
+def insert_edges_fixed(
+    g: Graph, kept: Iterable[int], seed: int, shuffle: bool = True
+) -> PlanarizedGraph:
+    """Insert every edge outside `kept` (ids read by `Graph.check_edge_set`)
+    into a fixed embedding of the subgraph on `kept`.
 
     Deferred edges are processed in seed-shuffled order (edge-id order with
     shuffle=False); each is routed with the fewest crossings available in the
@@ -134,8 +138,7 @@ def insert_edges_fixed(g: Graph, kept: EdgeSet, seed: int, shuffle: bool = True)
     (least arc first).  Faces are traced once; an insertion re-traces only
     the faces it changes.
     """
-    kept_ids = sorted(kept)  # any collection of ids, repeats still visible
-    g.check_edge_set(kept_ids)
+    kept_ids = sorted(g.check_edge_set(kept))
     kept = frozenset(kept_ids)
     n = g.vertex_count
     sub_edges = [g.edges[e] for e in kept_ids]

@@ -290,8 +290,10 @@ def test_cli_aggregate_reads_instance_ids_with_commas(tmp_path):
     "i,s,-10,20,a,0,9,0.900000,1.000,ok,",
     "i,s,10,20,a,0,-15,0.900000,1.000,ok,",
     "i,s,10,20,a,0,9,0.900000,1.000,ok,-3",
+    # Random(-7) draws what Random(7) draws: seeds -7 and 7 are one run.
+    "i,s,10,20,a,-7,9,0.900000,1.000,ok,",
 ], ids=["comma-in-id", "density-nan", "runtime-inf", "negative-n", "negative-kept",
-        "negative-crossings"])
+        "negative-crossings", "negative-seed"])
 def test_cli_aggregate_reports_malformed_row(tmp_path, capsys, row):
     bad = tmp_path / "bad.csv"
     emit_records_csv([rec(instance="j")], bad)  # a cell no bad row repeats

@@ -3,13 +3,17 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import disjoint_union, petersen, random_graph, spanning_subgraph
+from conftest import complete_graph, disjoint_union, petersen, random_graph, spanning_subgraph
+from maxplanar.exact import exact_skewness, export_ilp
 from maxplanar.graph import Graph, GraphError, connected_components, spanning_forest
+from maxplanar.graphio import write_subgraph
 from maxplanar.heuristics import grow_maximal
 from maxplanar.planarity import (
     PlanarGraphError,
@@ -24,6 +28,7 @@ from maxplanar.planarity import (
 from maxplanar.planarity.api import minimal_nonplanar_subset
 from maxplanar.planarity._lr import lr_embedding
 from maxplanar.planarity.types import Embedding
+from maxplanar.planarize import insert_edges_fixed
 from oracles import planar_oracle
 
 
@@ -47,6 +52,49 @@ def test_is_planar_rejects_foreign_ids(k4, bad):
 
 
 TRIANGLE = Graph(3, ((0, 1), (1, 2), (0, 2)))
+K5 = complete_graph(5)
+
+
+def _write_subgraph_text(ids) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        write_subgraph(K5, ids, Path(tmp) / "sub.el")
+        return (Path(tmp) / "sub.el").read_text()
+
+
+# Every function that takes edge ids, as (valid ids of K5 starting at 0,
+# the call on K5).  Each reads its ids through Graph.check_edge_set.
+EDGE_ID_INPUTS = {
+    "is_planar": (range(9), lambda ids: is_planar(K5, ids)),
+    "minimal_nonplanar_subset": (range(10), lambda ids: minimal_nonplanar_subset(K5, ids)),
+    "classify_witness": (range(10), lambda ids: classify_witness(K5, ids)),
+    "grow_maximal": (range(3), lambda ids: grow_maximal(K5, ids, 0)),
+    "exact_skewness": (range(9), lambda ids: exact_skewness(K5, 5000, initial_incumbent=ids)),
+    "insert_edges_fixed": (range(9), lambda ids: insert_edges_fixed(K5, ids, 0)),
+    "write_subgraph": (range(9), _write_subgraph_text),
+    "export_ilp": (range(10), lambda ids: export_ilp(K5, [ids])),
+}
+
+
+def _with_repeated_zero(name):
+    ids, call = EDGE_ID_INPUTS[name]
+    return lambda: call(iter([*ids, 0]))
+
+
+@pytest.mark.parametrize("name", EDGE_ID_INPUTS)
+def test_edge_ids_are_read_once(name):
+    # A list, a set and a one-shot iterator of the same ids are one input.
+    ids, call = EDGE_ID_INPUTS[name]
+    want = call(list(ids))
+    assert call(set(ids)) == want
+    assert call(iter(ids)) == want
+
+
+@pytest.mark.parametrize("bad", [-1, 10])
+@pytest.mark.parametrize("name", EDGE_ID_INPUTS)
+def test_foreign_edge_ids_are_refused(name, bad):
+    ids, call = EDGE_ID_INPUTS[name]
+    with pytest.raises(GraphError, match=f"edge id {bad} not in host graph"):
+        call(iter([*ids, bad]))
 
 
 @pytest.mark.parametrize("call", [
@@ -55,7 +103,9 @@ TRIANGLE = Graph(3, ((0, 1), (1, 2), (0, 2)))
     lambda: grow_maximal(TRIANGLE, [0, 0, 0, 0], 0),
     lambda: minimal_nonplanar_subset(Graph(5, tuple(itertools.combinations(range(5), 2))),
                                      list(range(10)) + [0]),
-], ids=["is_planar", "grow_maximal", "grow_maximal-four-copies", "minimal_nonplanar_subset"])
+    *map(_with_repeated_zero, EDGE_ID_INPUTS),
+], ids=["is_planar", "grow_maximal", "grow_maximal-four-copies", "minimal_nonplanar_subset",
+        *(f"{name}-iterator" for name in EDGE_ID_INPUTS)])
 def test_repeated_edge_ids_are_refused(call):
     # Read as parallel edges, repeated ids would make a path test non-planar,
     # stop a growth short of maximal, and leave a planar K5 "witness".
