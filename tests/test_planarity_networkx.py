@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import spanning_subgraph
+from maxplanar.generate import gen_regular, gen_scale_free
 from maxplanar.graph import Graph, adjacency, connected_components
 from maxplanar.planarity import edge_addition_subgraph, embed, is_planar, validate_embedding
 from maxplanar.planarity._engine import edge_addition_run
@@ -130,3 +131,17 @@ def test_embedding_valid_on_planar_draws(drawn):
         out = embed(g)
         assert out.planar
         validate_embedding(g, out.embedding)
+
+
+@pytest.mark.parametrize("family", ["regular", "scale_free"])
+@pytest.mark.parametrize("n", [1000, 2000])
+def test_strict_verdicts_match_networkx_at_scale(family, n):
+    # The draws above stop near 300 vertices; a thousand-vertex graph gives the
+    # walkdown long merge chains.  The skip pass's kept set is planar, and the
+    # set plus one skipped edge sits right at the planarity boundary.
+    g = gen_regular(n, 10, n) if family == "regular" else gen_scale_free(n, 5, n)
+    kept = sorted(edge_addition_subgraph(g, 0))
+    skipped = sorted(set(range(len(g.edges))) - set(kept))
+    assert is_planar(g, kept) and _nx_planar(g, kept)
+    for e in skipped[:5]:
+        assert is_planar(g, kept + [e]) == _nx_planar(g, kept + [e])
