@@ -4,7 +4,7 @@ Vertices are processed in reverse DFS order; at each step the tree edges to
 the current vertex's children are embedded as singleton biconnected
 components, then every backedge from the current vertex to a descendant is
 embedded by walking down the external faces of the pertinent components,
-merging them (with lazy orientation flips) as it goes.
+merging them as it goes.
 
 Two modes:
   * strict: abort as soon as one backedge cannot be embedded (planarity test);
@@ -13,12 +13,13 @@ Two modes:
             subgraph of the input.
 
 All per-vertex state lives in flat lists indexed by DFS index; virtual root
-copies of a vertex (one per DFS child c) live at index n + c.  Rotation lists
-are direction-agnostic doubly linked arc lists so that merging a flipped
-component is O(1).  Each vertex's DFS children are sorted by lowpoint, and
-`sep_at[v]` indexes v's first child whose bicomp is not yet merged into v:
-external activity reads only that child's lowpoint.  The engine answers
-reachability/embeddability only; the combinatorial embedding itself is
+copies of a vertex (one per DFS child c) live at index n + c.  The engine
+keeps no rotation system: of each vertex and root copy it keeps only its two
+external-face arcs (`ends`), and of each arc only its target, which is all a
+walk along an external face reads.  Each vertex's DFS children are sorted by
+lowpoint, and `sep_at[v]` indexes v's first child whose bicomp is not yet
+merged into v: external activity reads only that child's lowpoint.  The
+engine answers embeddability only; the combinatorial embedding itself is
 produced by the left-right embedder in `_lr.py`, which keeps the two code
 paths independently checkable.
 
@@ -141,9 +142,7 @@ def edge_addition_run(
     # ------------------------------------------------------------------
     # Embedding state.
     # ------------------------------------------------------------------
-    ends = [NIL] * (4 * n)  # two slots per vertex/root
-    arc_n0: list[int] = []
-    arc_n1: list[int] = []
+    ends = [NIL] * (4 * n)  # the two external-face arcs of each vertex/root
     arc_target: list[int] = []
     merged = [False] * n
     up = list(range(2 * n))
@@ -153,30 +152,11 @@ def edge_addition_run(
     skipped: list[int] = []
 
     def new_arc_pair(src_a: int, tgt_a: int) -> int:
-        """Allocate twin arcs: returns arc in src_a's list targeting tgt_a."""
+        """Allocate twin arcs: returns the arc at src_a targeting tgt_a."""
         a = len(arc_target)
         arc_target.append(tgt_a)
-        arc_n0.append(NIL)
-        arc_n1.append(NIL)
         arc_target.append(src_a)
-        arc_n0.append(NIL)
-        arc_n1.append(NIL)
         return a
-
-    # Every vertex the walkdown attaches to or merges into lies strictly
-    # below v in the DFS tree, so its parent tree arc is already embedded;
-    # a root holds its tree arc from the start.  So attach and merge_bicomp
-    # never meet an empty rotation list.
-
-    def attach(x: int, side: int, a: int) -> None:
-        """Append fresh arc a at end `side` of x's rotation list."""
-        e = ends[2 * x + side]
-        if arc_n0[e] == NIL:
-            arc_n0[e] = a
-        else:
-            arc_n1[e] = a
-        arc_n0[a] = e
-        ends[2 * x + side] = a
 
     def ext_succ(x: int, xin: int) -> tuple[int, int]:
         """Next vertex on the external face leaving x away from entry side."""
@@ -189,7 +169,7 @@ def edge_addition_run(
             return t, 0
         if ends[2 * t + 1] == ta:
             return t, 1
-        raise AssertionError("external face arc is not a rotation end")
+        raise AssertionError("external face arc is not an end at its target")
 
     def ext_active(w: int, v: int) -> bool:
         if least_anc[w] < v:
@@ -215,20 +195,9 @@ def edge_addition_run(
             i += 1
         sep_at[w] = i
         # The walkdown left rr through its rout-side end; that side of the
-        # chunk is about to be enclosed, so it joins w's old end arc and the
-        # far side becomes w's new external end.
-        e_w = ends[2 * w + win]
-        e_join = ends[2 * rr + rout]
-        e_far = ends[2 * rr + 1 - rout]
-        if arc_n0[e_w] == NIL:
-            arc_n0[e_w] = e_join
-        else:
-            arc_n1[e_w] = e_join
-        if arc_n0[e_join] == NIL:
-            arc_n0[e_join] = e_w
-        else:
-            arc_n1[e_join] = e_w
-        ends[2 * w + win] = e_far
+        # chunk is about to be enclosed, so the far side becomes w's new
+        # external end.
+        ends[2 * w + win] = ends[2 * rr + 1 - rout]
 
     # ------------------------------------------------------------------
     # Main loop: steps in decreasing DFS index.
@@ -301,8 +270,8 @@ def edge_addition_run(
                             mw, mwin, mrr, mrout = stack_m.pop()
                             merge_bicomp(mw, mwin, mrr, mrout)
                         a = new_arc_pair(r, w)
-                        attach(r, i, a)
-                        attach(w, win, a ^ 1)
+                        ends[2 * r + i] = a
+                        ends[2 * w + win] = a ^ 1
                         be_flag[w] = NIL
                     q = pert_roots[w]
                     if q:
