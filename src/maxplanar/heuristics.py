@@ -192,6 +192,8 @@ def run_algorithm(
         raise ValueError(f"unknown algorithm {name!r}")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if seed < 0:  # Random(-s) draws what Random(s) draws
+        raise ValueError(f"seed must be >= 0, got {seed}")
     t0 = time.perf_counter()
     if name == "naive":
         rng = random.Random(seed)

@@ -138,6 +138,8 @@ def insert_edges_fixed(
     (least arc first).  Faces are traced once; an insertion re-traces only
     the faces it changes.
     """
+    if seed < 0:  # Random(-s) draws what Random(s) draws
+        raise ValueError(f"seed must be >= 0, got {seed}")
     kept_ids = sorted(g.check_edge_set(kept))
     kept = frozenset(kept_ids)
     n = g.vertex_count

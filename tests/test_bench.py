@@ -486,6 +486,17 @@ def test_cli_gen_refuses_negative_seeds(tmp_path, capsys):
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("command", ["planarize", "exact", "export-ilp"])
+def test_cli_refuses_negative_seed(tmp_path, capsys, command):
+    # --seed -1 used to run seed 1 without a word.
+    write_graph(complete_graph(5), tmp_path / "k5.el")
+    out = tmp_path / "out.el"
+    assert main([command, str(tmp_path / "k5.el"), "--seed", "-1", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be >= 0, got -1\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_cli_exact_without_incumbent_writes_kept_edges(tmp_path, capsys):
     write_graph(complete_graph(5), tmp_path / "k5.el")
     out = tmp_path / "x.el"

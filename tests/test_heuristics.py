@@ -231,6 +231,14 @@ def test_naive_refuses_restarts_below_one(k5, restarts):
             run_algorithm(k5, name, 0, restarts)
 
 
+def test_run_algorithm_refuses_negative_seeds(k5):
+    # Random(-3) draws what Random(3) draws: seed -3 used to return seed 3's set.
+    for name in ALGORITHMS:
+        with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+            run_algorithm(k5, name, -3)
+    assert run_algorithm(k5, "bm", 0).kept == run_algorithm(k5, "bm", 0).kept
+
+
 def test_multistart_k5(k5):
     assert len(run_algorithm(k5, "naive", 0, 5).kept) == 9
 

@@ -110,6 +110,14 @@ def test_refuses_repeated_edge_ids(k5):
         insert_edges_fixed(k5, [0, 0, 1, 2, 3, 4, 5, 6, 7, 8], 0)
 
 
+def test_refuses_negative_seeds(k5):
+    # Seed -4 used to return seed 4's planarization.
+    kept = cactus_plus(k5, 0).kept
+    with pytest.raises(ValueError, match="seed must be >= 0, got -4"):
+        insert_edges_fixed(k5, kept, -4)
+    assert insert_edges_fixed(k5, kept, 0).dummy_count == 1
+
+
 def test_disconnected_components_insert_without_crossings():
     # two triangles plus one edge between them, triangles kept
     edges = ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3))
