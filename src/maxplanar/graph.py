@@ -51,8 +51,12 @@ class Graph:
 
     def check_edge_set(self, ids: Iterable[int]) -> list[int]:
         """The edge ids `ids` (any iterable, read once) as a list in their given
-        order; GraphError names an id that is not an edge id here or repeats."""
+        order; GraphError names an id that is not an int (a bool is not), is
+        not an edge id here, or repeats."""
         ids = list(ids)
+        for e in ids:
+            if type(e) is not int:
+                raise GraphError(f"edge id {e!r} is not an int")
         if ids and (min(ids) < 0 or max(ids) >= len(self.edges)):
             bad = min(ids) if min(ids) < 0 else max(ids)
             raise GraphError(f"edge id {bad} not in host graph")

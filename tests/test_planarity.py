@@ -97,6 +97,17 @@ def test_foreign_edge_ids_are_refused(name, bad):
         call(iter([*ids, bad]))
 
 
+@pytest.mark.parametrize("bad, shown", [(True, "True"), (0.0, "0.0"), ("0", "'0'")],
+                         ids=["bool", "float", "str"])
+@pytest.mark.parametrize("name", EDGE_ID_INPUTS)
+def test_non_integer_edge_ids_are_refused(name, bad, shown):
+    # A bool would pass for edge 1, and a float or a str would reach an id
+    # comparison or an index: each is refused by its type, by name.
+    ids, call = EDGE_ID_INPUTS[name]
+    with pytest.raises(GraphError, match=f"edge id {shown} is not an int"):
+        call(iter([*ids, bad]))
+
+
 @pytest.mark.parametrize("call", [
     lambda: is_planar(Graph(3, ((0, 1), (1, 2))), [0, 0, 0, 0]),
     lambda: grow_maximal(TRIANGLE, [0, 0], 0),
