@@ -85,58 +85,48 @@ def edge_addition_run(
     dfi = [NIL] * n
     parent = [NIL] * n
     parent_eid = [NIL] * n
-    lowpoint = [0] * n
-    least_anc = [0] * n
+    lowpoint = list(range(n))
+    least_anc = list(range(n))
     children: list[list[int]] = [[] for _ in range(n)]
     back_from: list[list[tuple[int, int]]] = [[] for _ in range(n)]
 
     counter = 0
-    roots_iter = root_order if root_order is not None else range(n)
-    for r0 in roots_iter:
+    for r0 in root_order if root_order is not None else range(n):
         if dfi[r0] != NIL:
             continue
         dfi[r0] = counter
-        lowpoint[counter] = counter
-        least_anc[counter] = counter
+        stack = [(counter, iter(adjacency[r0]))]
         counter += 1
-        stack: list[tuple[int, int, int]] = [(r0, counter - 1, 0)]
         while stack:
-            v_orig, v, idx = stack[-1]
-            adj_v = adjacency[v_orig]
-            moved = False
-            while idx < len(adj_v):
-                w_orig, eid = adj_v[idx]
-                idx += 1
-                if dfi[w_orig] == NIL:
-                    w = counter
-                    dfi[w_orig] = w
+            v, it = stack[-1]
+            for w_orig, eid in it:
+                w = dfi[w_orig]
+                if w == NIL:
+                    w = dfi[w_orig] = counter
+                    counter += 1
                     parent[w] = v
                     parent_eid[w] = eid
                     children[v].append(w)
-                    lowpoint[w] = w
-                    least_anc[w] = w
-                    counter += 1
-                    stack[-1] = (v_orig, v, idx)
-                    stack.append((w_orig, w, 0))
-                    moved = True
+                    stack.append((w, iter(adjacency[w_orig])))
                     break
-                w = dfi[w_orig]
                 if w < v and eid != parent_eid[v]:
                     back_from[w].append((v, eid))
+                    # lowpoint[v] <= least_anc[v] always, so only a new least
+                    # ancestor can lower the lowpoint.
                     if w < least_anc[v]:
                         least_anc[v] = w
-                    if w < lowpoint[v]:
-                        lowpoint[v] = w
-            if not moved:
+                        if w < lowpoint[v]:
+                            lowpoint[v] = w
+            else:
                 stack.pop()
-                if stack:
-                    p = stack[-1][1]
-                    if lowpoint[v] < lowpoint[p]:
-                        lowpoint[p] = lowpoint[v]
+                p = parent[v]
+                if p != NIL and lowpoint[v] < lowpoint[p]:
+                    lowpoint[p] = lowpoint[v]
 
     # Children by ascending lowpoint; the stable sort keeps ties in DFS order.
     for ch in children:
-        ch.sort(key=lowpoint.__getitem__)
+        if len(ch) > 1:
+            ch.sort(key=lowpoint.__getitem__)
     sep_at = [0] * n
 
     # ------------------------------------------------------------------
@@ -150,13 +140,6 @@ def edge_addition_run(
     be_flag = [NIL] * n
     pert_roots: list[deque[int] | None] = [None] * n
     skipped: list[int] = []
-
-    def new_arc_pair(src_a: int, tgt_a: int) -> int:
-        """Allocate twin arcs: returns the arc at src_a targeting tgt_a."""
-        a = len(arc_target)
-        arc_target.append(tgt_a)
-        arc_target.append(src_a)
-        return a
 
     def ext_succ(x: int, xin: int) -> tuple[int, int]:
         """Next vertex on the external face leaving x away from entry side."""
@@ -177,9 +160,6 @@ def edge_addition_run(
         ch = children[w]
         i = sep_at[w]
         return i < len(ch) and lowpoint[ch[i]] < v
-
-    def pertinent(w: int, v: int) -> bool:
-        return be_flag[w] == v or bool(pert_roots[w])
 
     def merge_bicomp(w: int, win: int, rr: int, rout: int) -> None:
         """Merge root rr (= w^c) into w, entered at side win, left via rout."""
@@ -209,7 +189,8 @@ def edge_addition_run(
         # Embed tree edges to children as singleton bicomps rooted at v^c.
         for c in children[v]:
             r = n + c
-            a = new_arc_pair(r, c)
+            a = len(arc_target)  # twin arcs a (r to c) and a ^ 1 (c to r)
+            arc_target += (c, r)
             ends[2 * r] = a
             ends[2 * r + 1] = a
             ends[2 * c] = a ^ 1
@@ -269,7 +250,8 @@ def edge_addition_run(
                         while stack_m:
                             mw, mwin, mrr, mrout = stack_m.pop()
                             merge_bicomp(mw, mwin, mrr, mrout)
-                        a = new_arc_pair(r, w)
+                        a = len(arc_target)
+                        arc_target += (w, r)
                         ends[2 * r + i] = a
                         ends[2 * w + win] = a ^ 1
                         be_flag[w] = NIL
@@ -284,10 +266,10 @@ def edge_addition_run(
                             continue
                         # First active vertex in each direction from rr.
                         x, xin = ext_succ(rr, 1)
-                        while not (pertinent(x, v) or ext_active(x, v)):
+                        while not (be_flag[x] == v or pert_roots[x] or ext_active(x, v)):
                             x, xin = ext_succ(x, xin)
                         y, yin = ext_succ(rr, 0)
-                        while not (pertinent(y, v) or ext_active(y, v)):
+                        while not (be_flag[y] == v or pert_roots[y] or ext_active(y, v)):
                             y, yin = ext_succ(y, yin)
                         xi = not ext_active(x, v)
                         yi = not ext_active(y, v)
@@ -295,9 +277,9 @@ def edge_addition_run(
                             nw, nwin, rout = x, xin, 0
                         elif yi:
                             nw, nwin, rout = y, yin, 1
-                        elif pertinent(x, v):
+                        elif be_flag[x] == v or pert_roots[x]:
                             nw, nwin, rout = x, xin, 0
-                        elif pertinent(y, v):
+                        elif be_flag[y] == v or pert_roots[y]:
                             nw, nwin, rout = y, yin, 1
                         else:
                             nw, nwin, rout = x, xin, 0
