@@ -4,7 +4,8 @@ cactus (`cactus`) -- is grown to maximality for `naive`, `bm+` and `cactus+`.
 
 Growth runs the planarity engine on the planarity kernel of a candidate's
 component plus the edge, never on the whole component, and only when the
-kernel or an earlier reject does not settle the verdict; see `grow_maximal`.
+kernel, a degree-3 kernel vertex beside both ends, or an earlier reject
+does not settle the verdict; see `grow_maximal`.
 
 All operations are pure in (graph, seed): identical inputs give identical
 kept-edge sets.  Runtime is measured around the algorithm itself, excluding
@@ -52,14 +53,16 @@ def grow_maximal(g: Graph, start: Iterable[int], seed: int) -> EdgeSet:
     the kept set has 3n - 6 edges, as it is then one component.  The others
     meet the planarity kernel of their component (trees peeled, degree-2
     chains suppressed, parallel edges merged), built at the first of them
-    and reused until an accepted edge changes the component.  As planarity
-    is closed under minors, two rules spare the engine.  An edge that leaves
-    the kernel as it is is kept, since a planar component's kernel is
-    planar.  An engine reject drops, each at its turn, every edge of g
-    between the closures of the rejected ends' kernel locations: each such
-    edge's plus-edge graph has the rejected one as a minor, now and after
-    any growth (see `PlanarityKernel.closure`).  Every other edge costs one
-    engine run on the kernel plus the edge.
+    and reused until an accepted edge changes the component.  Three rules
+    spare the engine.  An edge that leaves the kernel as it is is kept, since
+    a planar component's kernel is planar.  So is an edge whose ends' kernel
+    locations share a kernel neighbour of degree 3, since one face of every
+    embedding holds both (see `PlanarityKernel.shares_a_wedge`).  And as
+    planarity is closed under minors, an engine reject drops, each at its
+    turn, every edge of g between the closures of the rejected ends' kernel
+    locations: each such edge's plus-edge graph has the rejected one as a
+    minor, now and after any growth (see `PlanarityKernel.closure`).  Every
+    other edge costs one engine run on the kernel plus the edge.
     """
     start = g.check_edge_set(start)
     n = g.vertex_count
@@ -118,7 +121,9 @@ def grow_maximal(g: Graph, start: Iterable[int], seed: int) -> EdgeSet:
         kernel = kernels.get(ra)
         if kernel is None:
             kernel = kernels[ra] = PlanarityKernel(ce)
-        plus = kernel.plus_edge(a, b)  # None: the planar kernel stays as it is
+        # None: the edge fits in a face at a degree-3 kernel vertex, or the
+        # planar kernel stays as it is.
+        plus = None if kernel.shares_a_wedge(a, b) else kernel.plus_edge(a, b)
         if plus is not None and not edge_addition_run(*plus)[0]:
             # Non-planar with this component and every one it grows into.
             ends = set(kernel.closure(b))

@@ -16,6 +16,16 @@ When both ends fall on one location, or on a kernel edge and one of its
 ends, or on the two ends of a kernel edge, the new edge only widens a piece
 that reduces away: the kernel stays as it is, and so does the verdict.
 
+A planar graph also stays planar under an edge between locations that
+share a kernel neighbour x of degree 3, where the neighbours of a kernel
+vertex are its kernel neighbours and those of a kernel edge are its two
+ends.  Each location then lies on an edge at x: a kernel vertex u on the
+edge x-u, a kernel edge on itself.  When the two edges are one, the new
+edge widens a piece.  Otherwise they form a wedge at x: in every rotation
+at x the three edges are pairwise consecutive, so in every embedding one
+face runs along both edges and holds both locations, and the new edge fits
+inside it.
+
 Planarity is closed under minors, so a non-planar kernel plus an edge
 between locations la and lb settles more edges than its own.  The closure
 of a kernel vertex x is x and the kernel edges at x; that of a kernel edge
@@ -36,7 +46,7 @@ class PlanarityKernel:
     ascending order of the surviving input ids.
     """
 
-    __slots__ = ("n", "edges", "_index", "_edge_pos", "_fwd", "_closures")
+    __slots__ = ("n", "edges", "_index", "_edge_pos", "_fwd", "_nbrs", "_closures")
 
     def __init__(self, edges: Iterable[tuple[int, int]]) -> None:
         nbrs: dict[int, set[int]] = {}
@@ -98,6 +108,7 @@ class PlanarityKernel:
         self._index = index
         self._edge_pos = {e: i for i, e in enumerate(kernel_edges)}
         self._fwd = fwd
+        self._nbrs = nbrs  # the kernel's adjacency on input ids
         self._closures: dict[object, list[int]] = {}  # built at the first closure()
 
     def _locate(self, v: int) -> object:
@@ -124,7 +135,19 @@ class PlanarityKernel:
             return False  # two different kernel edges
         if type(lb) is tuple:
             return la in lb
-        return (la, lb) in self._edge_pos or (lb, la) in self._edge_pos
+        return lb in self._nbrs[la]
+
+    def shares_a_wedge(self, a: int, b: int) -> bool:
+        """Whether the locations of input vertices a and b share a kernel
+        neighbour of degree 3, so that the input graph plus the edge (a, b)
+        is planar when the input graph is."""
+        nbrs = self._nbrs
+        la, lb = self._locate(a), self._locate(b)
+        if la is None or lb is None:
+            return False
+        around_a = la if type(la) is tuple else nbrs[la]
+        around_b = lb if type(lb) is tuple else nbrs[lb]
+        return any(len(nbrs[x]) == 3 for x in around_a if x in around_b)
 
     def plus_edge(self, a: int, b: int) -> tuple[int, list[tuple[int, int]]] | None:
         """Kernel (n, edges) of the input graph plus the edge (a, b), where a

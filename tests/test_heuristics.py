@@ -83,9 +83,10 @@ def _watch_growth(monkeypatch) -> tuple[list[tuple[int, int]], list[bool]]:
 
 def test_grow_maximal_runs_engine_once_per_test(monkeypatch, k5, k33):
     # An edge that bridges two components, that no planar graph could hold,
-    # that leaves its component's kernel as it is, or that an earlier reject
-    # settled, is decided without the engine; every other edge costs exactly
-    # one engine call.  The benchmark counts growth tests by these calls.
+    # that leaves its component's kernel as it is, whose ends lie beside one
+    # degree-3 kernel vertex, or that an earlier reject settled, is decided
+    # without the engine; every other edge costs exactly one engine call.
+    # The benchmark counts growth tests by these calls.
     tested, verdicts = _watch_growth(monkeypatch)
     for seed in range(8):
         # K3,3: five bridges span it.  The first three other edges meet an
@@ -104,6 +105,25 @@ def test_grow_maximal_runs_engine_once_per_test(monkeypatch, k5, k33):
         assert len(grow_maximal(k5, frozenset(), seed)) == 9
         assert len(tested) == len(verdicts) <= 2
         assert all(verdicts)
+    # K4 with 0-1 subdivided by 4 and 5, plus the candidate 5-2: it changes
+    # the kernel, but 5's kernel edge 0-1 and 2 share the degree-3 kernel
+    # neighbours 0 and 1, so the wedge rule keeps it with no engine run.
+    start = [(0, 4), (4, 5), (5, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    g = Graph(6, tuple(start + [(5, 2)]))
+    wedges = []
+    shares_a_wedge = PlanarityKernel.shares_a_wedge
+
+    def watched_wedge(self, a, b):
+        hit = shares_a_wedge(self, a, b)
+        if hit:
+            wedges.append((a, b))
+        return hit
+
+    monkeypatch.setattr(PlanarityKernel, "shares_a_wedge", watched_wedge)
+    tested.clear()
+    verdicts.clear()
+    assert grow_maximal(g, frozenset(range(8)), 0) == g.all_edges()
+    assert wedges == [(5, 2)] and tested == [] and verdicts == []
 
 
 def test_grow_maximal_reject_settles_edges_in_its_closures(monkeypatch):

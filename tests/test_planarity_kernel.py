@@ -4,7 +4,8 @@ The verdicts are checked against networkx's `check_planarity`, on random
 graphs and on graphs rich in degree-2 vertices (subdivided K5 and K3,3,
 randomly subdivided graphs), where suppression and the parallel merges it
 causes do most of the work.  `plus_edge` is checked the same way against the
-input graph plus one edge, since growth tests every candidate through it.
+input graph plus one edge, since growth tests every candidate through it,
+and so is every candidate that `shares_a_wedge` keeps without the engine.
 """
 
 from __future__ import annotations
@@ -182,3 +183,45 @@ def test_closure_of_a_kernel_vertex_takes_the_pieces_at_it():
     assert sorted(k.closure(2)) == [2, 7]
     assert sorted(k.closure(6)) == sorted(k.closure(4)) == [4, 5, 6]
     assert k.closure(7) == [7]
+
+
+@given(edge_lists())
+@settings(max_examples=200, deadline=None)
+def test_wedge_rule_keeps_only_planar_candidates(drawn):
+    # The component is made planar by a skip pass; every candidate whose
+    # locations share a degree-3 kernel neighbour must leave it planar.
+    edges, rng = drawn
+    n = 1 + max(v for e in edges for v in e)
+    skipped = set(edge_addition_run(n, edges, skip_unembeddable=True)[1])
+    planar = [e for i, e in enumerate(edges) if i not in skipped]
+    k = PlanarityKernel(planar)
+    h = nx.Graph(planar)
+    pairs = [p for p in itertools.combinations(sorted(h.nodes), 2) if not h.has_edge(*p)]
+    rng.shuffle(pairs)
+    kept = [p for p in pairs if k.shares_a_wedge(*p)][:20]
+    for a, b in kept:
+        h.add_edge(a, b)
+        assert nx.check_planarity(h)[0]
+        h.remove_edge(a, b)
+
+
+def test_wedge_rule_fires_beside_a_degree_three_kernel_vertex():
+    # K4 with 0-1 subdivided by 4 and 5: 5 lies in the kernel edge 0-1, and
+    # 2's kernel neighbours include 0 and 1, both of kernel degree 3.  The
+    # candidate changes the kernel, but the wedge rule decides it.
+    g = [(0, 4), (4, 5), (5, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    k = PlanarityKernel(g)
+    assert k.plus_edge(5, 2) is not None
+    assert k.shares_a_wedge(5, 2) and k.shares_a_wedge(2, 5)
+    assert edge_addition_run(*k.plus_edge(5, 2))[0]
+
+
+def test_wedge_rule_stays_out_between_kernel_edges_with_no_common_end():
+    # K3,3 on {0,1,2} x {3,4,5} less 0-3 has the kernel K4: 0 is suppressed
+    # into the kernel edge 4-5 and 3 into 1-2.  Those edges share no end, so
+    # the rule does not fire, and the engine rejects the candidate 0-3.
+    g = [e for e in K33 if e != (0, 3)]
+    k = PlanarityKernel(g)
+    assert (k.n, len(k.edges)) == (4, 6)
+    assert not k.shares_a_wedge(0, 3)
+    assert not edge_addition_run(*k.plus_edge(0, 3))[0]
