@@ -5,8 +5,10 @@ set depends only on the verdicts and on the seed-shuffled order.  These
 values pin that output for the heuristics that grow (`naive` with two
 restarts, `bm+`, `cactus+`) and for `grow_maximal` from a random planar
 start, and, with one naive restart, on regular and scale-free n=1000, d=5,
-where most growth tests reject; so that any change to how a growth test is computed must give the
-same verdicts.  Regenerate the JSON only when the seeded order itself is
+where most growth tests reject; so that any change to how a growth test is
+computed must give the same verdicts.  Scale-free n=3000, d=5 `cactus+`, where
+an accept touches the largest pieces of its component's kernel, is pinned by a
+sha256 of its kept set.  Regenerate the JSON only when the seeded order itself is
 meant to change:
 
     PYTHONPATH=src python tests/test_growth_golden.py > tests/growth_golden.json
@@ -14,6 +16,7 @@ meant to change:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -96,6 +99,18 @@ def test_growth_golden_at_scale(name):
     want = {k: v for k, v in golden.items() if k.split("/")[0] == name}
     assert len(want) == len(ALGORITHMS)
     assert compute_scale_cells({name}) == want
+
+
+# sha256 of the comma-joined ascending kept ids, and their count.
+SCALE_FREE_N3000_CACTUS_PLUS = (
+    4143, "8bf8089d10175b879883228716f8027dbb06b84a76544d9f27a970754c0dea61"
+)
+
+
+def test_growth_golden_scale_free_n3000_cactus_plus():
+    kept = sorted(run_algorithm(gen_scale_free(3000, 5, 0), "cactus+", 0).kept)
+    digest = hashlib.sha256(",".join(map(str, kept)).encode()).hexdigest()
+    assert (len(kept), digest) == SCALE_FREE_N3000_CACTUS_PLUS
 
 
 if __name__ == "__main__":
