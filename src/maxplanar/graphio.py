@@ -63,6 +63,17 @@ def make_dir(path: str | Path) -> Path:
     return Path(path)
 
 
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def _decimal(tok: str) -> int:
+    """An ASCII decimal integer; `int` alone also takes `1_0` and non-ASCII
+    digits, which no graph file means."""
+    if not _DECIMAL.fullmatch(tok):
+        raise ValueError(tok)
+    return int(tok)
+
+
 def read_graph(path: str | Path, format: str | None = None) -> Graph:
     fmt = format or detect_format(path)
     if fmt == "edge_list":
@@ -86,7 +97,7 @@ def _read_edge_list(path: str | Path) -> Graph:
             if len(parts) != 1:
                 raise ParseError(path, lineno, "expected a single vertex count")
             try:
-                n = int(parts[0])
+                n = _decimal(parts[0])
             except ValueError:
                 raise ParseError(path, lineno, f"bad vertex count {parts[0]!r}")
             if n < 0:
@@ -95,7 +106,7 @@ def _read_edge_list(path: str | Path) -> Graph:
         if len(parts) != 2:
             raise ParseError(path, lineno, f"expected 'u v', got {line!r}")
         try:
-            a, b = int(parts[0]), int(parts[1])
+            a, b = _decimal(parts[0]), _decimal(parts[1])
         except ValueError:
             raise ParseError(path, lineno, f"non-integer endpoint in {line!r}")
         if a == b:
@@ -143,7 +154,7 @@ def _read_gml(path: str | Path) -> Graph:
             raise ParseError(path, tokens[again[0]][1], f"repeated {what}")
         tok, line = tokens[first]
         try:
-            return int(tok)
+            return _decimal(tok)
         except ValueError:
             raise ParseError(path, line, f"expected integer {what}, got {tok!r}")
 

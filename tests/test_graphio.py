@@ -53,6 +53,40 @@ def test_edge_list_bad_token(tmp_path):
         read_graph(p)
 
 
+@pytest.mark.parametrize("token", ["1_0", "\u0663", "\uff11", "0x1", "1.0"])
+@pytest.mark.parametrize("where", ["count", "endpoint"])
+def test_edge_list_malformed_integer_names_line(tmp_path, token, where):
+    # `int` reads "1_0" as 10 and the Arabic-Indic digit three as 3.
+    p = tmp_path / "bad.el"
+    p.write_text(f"{token}\n" if where == "count" else f"12\n0 1\n{token} 2\n", encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        read_graph(p)
+    assert exc.value.line == (1 if where == "count" else 3)
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0661\u0660", "\uff11\uff10"])
+@pytest.mark.parametrize("key", ["id", "source"])
+def test_gml_malformed_integer_names_line(tmp_path, token, key):
+    # Read by `int`, "id 1_0" used to match "source 10".
+    ids = {"id": token, "source": "10"}
+    if key == "source":
+        ids = {"id": "10", "source": token}
+    p = tmp_path / "g.gml"
+    p.write_text(
+        f"graph [\n node [ id {ids['id']} ]\n node [ id 2 ]\n"
+        f" edge [ source {ids['source']} target 2 ]\n]\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ParseError, match=rf"g\.gml:{2 if key == 'id' else 4}: "):
+        read_graph(p)
+
+
+def test_signed_decimal_integers_still_parse(tmp_path):
+    p = tmp_path / "g.gml"
+    p.write_text("graph [\n node [ id -1 ]\n node [ id +2 ]\n edge [ source -1 target 2 ]\n]\n")
+    assert read_graph(p) == Graph(2, ((0, 1),))
+
+
 def test_gml_k4(tmp_path, k4):
     p = tmp_path / "k4.gml"
     write_graph(k4, p)
