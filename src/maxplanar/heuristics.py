@@ -53,11 +53,12 @@ def grow_maximal(g: Graph, start: Iterable[int], seed: int) -> EdgeSet:
     the kept set has 3n - 6 edges, as it is then one component.  The others
     meet the planarity kernel of their component (trees peeled, degree-2
     chains suppressed, parallel edges merged), built at the first of them
-    and reused until an accepted edge changes the component.  Three rules
-    spare the engine.  An edge that leaves the kernel as it is is kept, since
-    a planar component's kernel is planar.  So is an edge whose ends' kernel
-    locations share a kernel neighbour of degree 3, since one face of every
-    embedding holds both (see `PlanarityKernel.shares_a_wedge`).  And as
+    and kept in place through every later accept (`PlanarityKernel.add`).
+    Three rules spare the engine.  An edge within one piece of the kernel
+    and its terminals is kept, as it leaves a planar component planar.  So
+    is an edge whose ends' kernel locations share a kernel neighbour of
+    degree 3, since one face of every embedding holds both (see
+    `PlanarityKernel.shares_a_wedge`).  And as
     planarity is closed under minors, an engine reject drops, each at its
     turn, every edge of g between the closures of the rejected ends' kernel
     locations: each such edge's plus-edge graph has the rejected one as a
@@ -70,21 +71,23 @@ def grow_maximal(g: Graph, start: Iterable[int], seed: int) -> EdgeSet:
     # Per component root: its edges as endpoint pairs.
     comp_edges: dict[int, list[tuple[int, int]]] = {}
     # Per component root: the kernel of the component as it stands, built at
-    # its first test and dropped when the component changes.
+    # its first test and kept in place as the component grows.
     kernels: dict[int, PlanarityKernel] = {}
 
     def absorb(eid: int) -> None:
-        """Add edge to the component structures."""
+        """Add edge to the component structures.  A bridge feeds the edge, then
+        the other side's edges, to a side's kernel: the larger side's if both."""
         a, b = g.edges[eid]
         ra, rb = ds.find(a), ds.find(b)
-        kernels.pop(ra, None)
-        kernels.pop(rb, None)
-        if ra == rb:
-            comp_edges.setdefault(ra, []).append((a, b))
-            return
-        ds.union(a, b)
         ea = comp_edges.pop(ra, [])
-        eb = comp_edges.pop(rb, [])
+        eb = comp_edges.pop(rb, []) if ra != rb else []
+        ka, kb = kernels.pop(ra, None), kernels.pop(rb, None)
+        if kb is not None and (ka is None or len(eb) > len(ea)):
+            ea, eb, ka, a, b = eb, ea, kb, b, a
+        ds.union(a, b)
+        if ka is not None:
+            ka.add([(a, b), *eb])
+            kernels[ds.find(a)] = ka
         if len(ea) < len(eb):
             ea, eb = eb, ea
         ea.extend(eb)
@@ -121,8 +124,8 @@ def grow_maximal(g: Graph, start: Iterable[int], seed: int) -> EdgeSet:
         kernel = kernels.get(ra)
         if kernel is None:
             kernel = kernels[ra] = PlanarityKernel(ce)
-        # None: the edge fits in a face at a degree-3 kernel vertex, or the
-        # planar kernel stays as it is.
+        # None: the edge fits in a face at a degree-3 kernel vertex, or lies
+        # within one piece of the planar component.
         plus = None if kernel.shares_a_wedge(a, b) else kernel.plus_edge(a, b)
         if plus is not None and not edge_addition_run(*plus)[0]:
             # Non-planar with this component and every one it grows into.

@@ -8,23 +8,26 @@ graph), planar exactly when the input is.
 
 Every removed vertex is also *located* in the kernel: at the kernel vertex
 its pendant part hangs from, or inside the kernel edge whose series-parallel
-piece it was suppressed or merged into.  That makes one reduction serve
-every edge later tried against the same graph: the graph plus an edge
-(a, b) is planar exactly when the kernel plus an edge between the locations
-of a and b is, an edge location being a new vertex that subdivides it.
-When both ends fall on one location, or on a kernel edge and one of its
-ends, or on the two ends of a kernel edge, the new edge only widens a piece
-that reduces away: the kernel stays as it is, and so does the verdict.
+piece it was suppressed or merged into, or nowhere when its whole component
+reduced away.  That makes one reduction serve every edge later tried
+against the same graph: the graph plus an edge (a, b) is planar exactly
+when the kernel plus an edge between the locations of a and b is, an edge
+location being a new vertex that subdivides it.  When both ends fall on one
+location, on a kernel edge and one of its ends, or on the two ends of a
+kernel edge, the edge lies within one piece and its terminals, which with a
+virtual terminal edge have no K4 minor.  One edge more keeps that planar
+(K5 - e and K3,3 - e have K4 minors), and its 2-sum with a planar kernel is
+planar: the verdict stays, though the kernel may grow.
 
 A planar graph also stays planar under an edge between locations that
 share a kernel neighbour x of degree 3, where the neighbours of a kernel
 vertex are its kernel neighbours and those of a kernel edge are its two
 ends.  Each location then lies on an edge at x: a kernel vertex u on the
 edge x-u, a kernel edge on itself.  When the two edges are one, the new
-edge widens a piece.  Otherwise they form a wedge at x: in every rotation
-at x the three edges are pairwise consecutive, so in every embedding one
-face runs along both edges and holds both locations, and the new edge fits
-inside it.
+edge lies within one piece.  Otherwise they form a wedge at x: in every
+rotation at x the three edges are pairwise consecutive, so in every
+embedding one face runs along both edges and holds both locations, and the
+new edge fits inside it.
 
 Planarity is closed under minors, so a non-planar kernel plus an edge
 between locations la and lb settles more edges than its own.  The closure
@@ -32,6 +35,10 @@ of a kernel vertex x is x and the kernel edges at x; that of a kernel edge
 is the edge alone.  The graph plus any edge from closure(la) to closure(lb)
 is non-planar, and stays so as edges are added: contracting each
 subdividing vertex into its kernel vertex gives back the first graph.
+
+`add` keeps the kernel in place, as on-line SPQR trees do (Di Battista and
+Tamassia, Algorithmica 15, 1996): no kernel vertex loses degree when an edge
+is added, so only the pieces at its ends are put back and reduced again.
 """
 
 from __future__ import annotations
@@ -40,79 +47,125 @@ from collections.abc import Iterable
 
 
 class PlanarityKernel:
-    """Kernel of a simple graph given by its edges on arbitrary integer ids.
+    """Kernel of a simple graph given by its edges on arbitrary integer ids,
+    kept in place as edges are added.
 
     `n` and `edges` are the kernel on compact ids 0..n-1, numbered in
     ascending order of the surviving input ids.
     """
 
-    __slots__ = ("n", "edges", "_index", "_edge_pos", "_fwd", "_nbrs", "_closures")
+    __slots__ = ("_adj", "_nbrs", "_fwd", "_members", "_view")
 
     def __init__(self, edges: Iterable[tuple[int, int]]) -> None:
-        nbrs: dict[int, set[int]] = {}
+        self._adj: dict[int, set[int]] = {}  # the input graph
+        self._nbrs: dict[int, set[int]] = {}  # the kernel's adjacency on input ids
+        # Where each removed vertex and edge went: a vertex id or an edge (x, y)
+        # with x < y; none for the last vertex of a component that reduced
+        # away.  An edge put back may keep a stale entry: suppression clears
+        # it before anything is sent there again.
+        self._fwd: dict[object, object] = {}
+        # Per location or vertex not yet removed: the removed vertices there.
+        self._members: dict[object, list[int]] = {}
+        self._view: tuple | None = None  # (index, edges), built at need
+        self.add(edges)
+
+    n = property(lambda self: len(self._nbrs))
+    edges = property(lambda self: self._compact()[1])
+
+    def add(self, edges: Iterable[tuple[int, int]]) -> None:
+        """Make this the kernel of the input graph plus `edges`: put back the
+        pieces at their ends, add the edges, and reduce what was put back.
+        An edge from a part that reduced away entirely to a vertex new to the
+        input hangs that part from the new vertex."""
+        adj, nbrs, fwd, members = self._adj, self._nbrs, self._fwd, self._members
+        low: list[int] = []  # vertices put back or new; removed if degree <= 2
         for a, b in edges:
-            if a in nbrs:
-                nbrs[a].add(b)
-            else:
-                nbrs[a] = {b}
-            if b in nbrs:
-                nbrs[b].add(a)
-            else:
-                nbrs[b] = {a}
-        # Where each removed vertex and edge went: a vertex id, an edge
-        # (x, y) with x < y, or None once the whole component is gone.
-        fwd: dict[object, object] = {}
-        low = [v for v, s in nbrs.items() if len(s) <= 2]
+            if b in adj:
+                a, b = b, a
+            if b not in adj and a in adj and a not in nbrs:
+                r = self._locate(a)
+                if type(r) is int and r not in nbrs:
+                    fwd[r], members[b] = b, members.pop(r)
+                    adj[a].add(b)
+                    adj[b], nbrs[b] = {a}, set()
+                    low.append(b)
+                    continue
+            for v in (a, b):
+                if v not in adj:
+                    adj[v], nbrs[v] = set(), set()
+                    low.append(v)
+                elif v not in nbrs:
+                    # Put back v's piece; its kernel edge goes unless an input edge.
+                    loc = self._locate(v)
+                    if type(loc) is tuple and loc[1] not in adj[loc[0]]:
+                        nbrs[loc[0]].discard(loc[1])
+                        nbrs[loc[1]].discard(loc[0])
+                    got = members.pop(loc)
+                    nbrs.update((m, set(adj[m])) for m in got)
+                    for m in got:
+                        fwd.pop(m, None)
+                        for t in adj[m]:
+                            nbrs[t].add(m)
+                    low += got
+            adj[a].add(b)
+            adj[b].add(a)
+            nbrs[a].add(b)
+            nbrs[b].add(a)
         while low:
             v = low.pop()
             s = nbrs.get(v)
-            if s is None:
-                continue  # queued twice, already removed
+            if s is None or len(s) > 2:
+                continue  # already removed, or not reducible
             del nbrs[v]
             if len(s) == 2:
                 x, y = s
-                if x > y:
-                    x, y = y, x
-                to = (x, y)
-                fwd[v] = to
-                fwd[(x, v) if x < v else (v, x)] = to
-                fwd[(y, v) if y < v else (v, y)] = to
+                to: object = (x, y) if x < y else (y, x)
+                x, y = to
+                fwd.pop(to, None)  # x-y is a kernel edge from here on
+                ex, ey = (x, v) if x < v else (v, x), (y, v) if y < v else (v, y)
+                fwd[v] = fwd[ex] = fwd[ey] = to
+                keys: tuple = (to, v, ex, ey)
                 sx, sy = nbrs[x], nbrs[y]
                 sx.discard(v)
                 sy.discard(v)
                 if y not in sx:
                     sx.add(y)
                     sy.add(x)
-                    continue
-                # The new edge x-y is parallel to an old one: merged, so both
-                # ends lose a degree.
-                if len(sx) <= 2:
-                    low.append(x)
-                if len(sy) <= 2:
-                    low.append(y)
+                else:
+                    # The new edge x-y is parallel to an old one: merged, so
+                    # both ends lose a degree.
+                    low += (x, y)
             elif s:
-                (x,) = s
-                fwd[v] = x
-                fwd[(x, v) if x < v else (v, x)] = x
-                sx = nbrs[x]
-                sx.discard(v)
-                if len(sx) <= 2:
-                    low.append(x)
+                (to,) = s
+                ex = (to, v) if to < v else (v, to)
+                fwd[v] = fwd[ex] = to
+                keys = (to, v, ex)
+                nbrs[to].discard(v)
+                low.append(to)
             else:
-                fwd[v] = None
-        verts = sorted(nbrs)
-        index = {v: i for i, v in enumerate(verts)}
-        kernel_edges = [(a, b) for a in verts for b in sorted(nbrs[a]) if a < b]
-        self.n = len(verts)
-        self.edges = [(index[a], index[b]) for a, b in kernel_edges]
-        self._index = index
-        self._edge_pos = {e: i for i, e in enumerate(kernel_edges)}
-        self._fwd = fwd
-        self._nbrs = nbrs  # the kernel's adjacency on input ids
-        self._closures: dict[object, list[int]] = {}  # built at the first closure()
+                to, keys = v, (v,)
+            # v, and what lay at v or its edges, now lie at `to`.
+            big = [v]
+            for k in keys:
+                part = members.pop(k, ())
+                if len(part) > len(big):
+                    big, part = part, big
+                big += part
+            members[to] = big
+        self._view = None
+
+    def _compact(self) -> tuple[dict[int, int], list[tuple[int, int]]]:
+        """The kernel on compact ids: (index, edges)."""
+        if self._view is None:
+            nbrs = self._nbrs
+            index = {v: i for i, v in enumerate(sorted(nbrs))}
+            self._view = index, [(index[a], index[b]) for a in index
+                                 for b in sorted(nbrs[a]) if a < b]
+        return self._view
 
     def _locate(self, v: int) -> object:
-        """Where input vertex v lies: a kernel vertex, a kernel edge, or None."""
+        """Where input vertex v lies: a kernel vertex, a kernel edge, or the
+        last vertex of its component when that reduced away entirely."""
         fwd = self._fwd
         path = []
         t: object = v
@@ -124,18 +177,20 @@ class PlanarityKernel:
         return t
 
     def _widens_a_piece(self, la: object, lb: object) -> bool:
-        """Whether an edge between two locations only adds to a part that
-        reduces away (a pendant or series-parallel piece, or a whole
-        component), and so leaves the kernel as it is."""
-        if la is None or lb is None or la == lb:
+        """Whether an edge between two locations lies within one piece that
+        reduces away (a pendant or series-parallel piece with its terminals,
+        or a whole component), so that a planar graph stays planar."""
+        if la == lb:
             return True
         if type(la) is tuple:
             la, lb = lb, la
         if type(la) is tuple:
             return False  # two different kernel edges
+        # An int location off the kernel: that end's component reduced away.
+        nbrs = self._nbrs
         if type(lb) is tuple:
-            return la in lb
-        return lb in self._nbrs[la]
+            return la in lb or la not in nbrs
+        return la not in nbrs or lb not in nbrs or lb in nbrs[la]
 
     def shares_a_wedge(self, a: int, b: int) -> bool:
         """Whether the locations of input vertices a and b share a kernel
@@ -143,28 +198,30 @@ class PlanarityKernel:
         is planar when the input graph is."""
         nbrs = self._nbrs
         la, lb = self._locate(a), self._locate(b)
-        if la is None or lb is None:
+        around_a = la if type(la) is tuple else nbrs.get(la)
+        around_b = lb if type(lb) is tuple else nbrs.get(lb)
+        if around_a is None or around_b is None:
             return False
-        around_a = la if type(la) is tuple else nbrs[la]
-        around_b = lb if type(lb) is tuple else nbrs[lb]
         return any(len(nbrs[x]) == 3 for x in around_a if x in around_b)
 
     def plus_edge(self, a: int, b: int) -> tuple[int, list[tuple[int, int]]] | None:
         """Kernel (n, edges) of the input graph plus the edge (a, b), where a
         and b are input vertices; the subdividing vertices get the ids n and
-        n + 1.  None when the edge leaves the kernel as it is."""
+        n + 1.  None when the edge lies within one piece, where a planar
+        input graph stays planar; the kernel itself may still grow."""
         la, lb = self._locate(a), self._locate(b)
         if self._widens_a_piece(la, lb):
             return None
-        n, edges, index = self.n, self.edges.copy(), self._index
+        index, edges = self._compact()
+        n, edges = len(index), edges.copy()
         ends = []
         for loc in (la, lb):
             if type(loc) is int:
                 ends.append(index[loc])
             else:
-                x, y = loc
-                edges[self._edge_pos[loc]] = (index[x], n)
-                edges.append((index[y], n))
+                x, y = index[loc[0]], index[loc[1]]
+                edges[edges.index((x, y))] = (x, n)
+                edges.append((y, n))
                 ends.append(n)
                 n += 1
         edges.append((ends[0], ends[1]))
@@ -173,11 +230,11 @@ class PlanarityKernel:
     def closure(self, v: int) -> list[int]:
         """The input vertices located in the closure of v's location, which
         must be a kernel vertex or edge."""
-        closures = self._closures
-        if not closures:
-            for u in [*self._index, *self._fwd]:
-                if type(u) is int:
-                    loc = self._locate(u)
-                    for key in (loc, *loc) if type(loc) is tuple else (loc,):
-                        closures.setdefault(key, []).append(u)
-        return closures[self._locate(v)]
+        members = self._members
+        loc = self._locate(v)
+        if type(loc) is tuple:
+            return members.get(loc, [])
+        out = [loc, *members.get(loc, ())]
+        for w in self._nbrs[loc]:
+            out += members.get((loc, w) if loc < w else (w, loc), ())
+        return out

@@ -159,3 +159,63 @@ def triangles_in(g: Graph, ids) -> list[tuple[int, int, int]]:
         for c in nbrs[a] & nbrs[b]
         if b < c
     )
+
+
+def kernel_snapshot(k, verts) -> tuple:
+    """A planarity kernel as a fresh one would read: its compact form, its
+    vertices, and each of `verts`' location and closure.  A vertex whose
+    whole component reduced away is located at None, since which of its
+    vertices went last depends on the order of the reductions."""
+    nbrs = k._nbrs
+    locs = {}
+    for v in verts:
+        loc = k._locate(v)
+        locs[v] = loc if type(loc) is tuple or loc in nbrs else None
+    closures = {v: sorted(k.closure(v)) for v in verts if locs[v] is not None}
+    return k.n, k.edges, sorted(nbrs), locs, closures
+
+
+def assert_kernel_is_fresh(k) -> None:
+    """Check a kernel kept in place against one built from its input graph."""
+    from maxplanar.planarity._kernel import PlanarityKernel
+
+    adj = k._adj
+    fresh = PlanarityKernel([(a, b) for a in adj for b in adj[a] if a < b])
+    assert kernel_snapshot(k, list(adj)) == kernel_snapshot(fresh, list(adj))
+
+
+class FreshKernelCheck:
+    """While active, checks every `PlanarityKernel.add` against a fresh
+    kernel of the same input graph, and records each kernel's vertex set
+    when it is constructed."""
+
+    def __init__(self, monkeypatch) -> None:
+        from maxplanar.planarity._kernel import PlanarityKernel
+
+        self.checks = 0
+        self.built: list[frozenset[int]] = []
+        add, init = PlanarityKernel.add, PlanarityKernel.__init__
+        busy = []
+
+        def checked_add(kernel, edges):
+            add(kernel, edges)
+            if not busy:
+                busy.append(True)
+                try:
+                    assert_kernel_is_fresh(kernel)
+                finally:
+                    busy.pop()
+                self.checks += 1
+
+        def counted_init(kernel, edges):
+            edges = list(edges)
+            if not busy:
+                self.built.append(frozenset(v for e in edges for v in e))
+            busy.append(True)
+            try:
+                init(kernel, edges)
+            finally:
+                busy.pop()
+
+        monkeypatch.setattr(PlanarityKernel, "add", checked_add)
+        monkeypatch.setattr(PlanarityKernel, "__init__", counted_init)

@@ -24,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from conftest import disjoint_union
+from oracles import FreshKernelCheck
 from maxplanar.generate import gen_regular, gen_scale_free
 from maxplanar.graph import Graph
 from maxplanar.heuristics import grow_maximal, run_algorithm
@@ -99,6 +100,15 @@ def test_growth_golden_at_scale(name):
     want = {k: v for k, v in golden.items() if k.split("/")[0] == name}
     assert len(want) == len(ALGORITHMS)
     assert compute_scale_cells({name}) == want
+
+
+@pytest.mark.parametrize("name", list(SCALE_GRAPHS))
+def test_kept_kernels_are_fresh_ones_at_scale(name, monkeypatch):
+    # After every accept, each component's kept kernel equals a fresh one.
+    check = FreshKernelCheck(monkeypatch)
+    golden = json.loads(GOLDEN_PATH.read_text())
+    assert compute_scale_cells({name}) == {k: v for k, v in golden.items() if k.split("/")[0] == name}
+    assert check.checks > 500
 
 
 # sha256 of the comma-joined ascending kept ids, and their count.

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complete_graph, random_graph, spanning_subgraph
+from conftest import complete_graph, disjoint_union, random_graph, spanning_subgraph
 from maxplanar import heuristics
 from maxplanar.graph import DisjointSets, Graph, connected_components
 from maxplanar.heuristics import (
@@ -21,7 +21,7 @@ from maxplanar.heuristics import (
 from maxplanar.planarity import edge_addition_subgraph, is_planar
 from maxplanar.planarity._kernel import PlanarityKernel
 from maxplanar.planarity.types import NonPlanarStartError
-from oracles import maximal_planar_subgraph_sizes, triangles_in
+from oracles import FreshKernelCheck, maximal_planar_subgraph_sizes, triangles_in
 
 
 def assert_maximal(g: Graph, kept: frozenset[int]) -> None:
@@ -83,9 +83,10 @@ def _watch_growth(monkeypatch) -> tuple[list[tuple[int, int]], list[bool]]:
 
 def test_grow_maximal_runs_engine_once_per_test(monkeypatch, k5, k33):
     # An edge that bridges two components, that no planar graph could hold,
-    # that leaves its component's kernel as it is, whose ends lie beside one
-    # degree-3 kernel vertex, or that an earlier reject settled, is decided
-    # without the engine; every other edge costs exactly one engine call.
+    # whose ends lie within one piece of its component's kernel or beside
+    # one degree-3 kernel vertex, or that an earlier reject settled, is
+    # decided without the engine; every other edge costs exactly one engine
+    # call.
     # The benchmark counts growth tests by these calls.
     tested, verdicts = _watch_growth(monkeypatch)
     for seed in range(8):
@@ -194,6 +195,44 @@ def test_grow_maximal_verdicts_without_engine_match_networkx(draw):
             assert nx.check_planarity(h)[0] == (eid in kept)
         if eid not in kept:
             h.remove_edge(*g.edges[eid])
+
+
+@given(st.integers(0, 2**30))
+@settings(max_examples=60, deadline=None)
+def test_grow_maximal_keeps_each_kernel_as_a_fresh_one(draw):
+    # Two random parts joined by a few edges, grown from a random planar
+    # start: components that each have a kernel get bridged, and after every
+    # accept the kept kernel equals a fresh one of its component.
+    rng = random.Random(draw)
+    sizes = rng.randint(4, 25), rng.randint(4, 25)
+    parts = disjoint_union(*(random_graph(n, rng.randint(n, 3 * n), rng) for n in sizes))
+    cross = {(rng.randrange(sizes[0]), sizes[0] + rng.randrange(sizes[1])) for _ in range(3)}
+    g = Graph(parts.vertex_count, parts.edges + tuple(sorted(cross)))
+    # Start from most of each part's planar edges, and no cross edge.
+    share = rng.uniform(0.5, 1)
+    start = frozenset(e for e in sorted(edge_addition_subgraph(parts, draw)) if rng.random() < share)
+    with pytest.MonkeyPatch.context() as mp:
+        FreshKernelCheck(mp)
+        kept = grow_maximal(g, start, draw)
+    assert is_planar(g, kept)
+
+
+def test_grow_maximal_builds_each_kernel_once(monkeypatch):
+    # A kernel is built at a component's first test and kept from then on:
+    # through accepts, and through bridges, where one side's kernel takes in
+    # the other side.  So no vertex is ever in two built kernels, and a
+    # start that spans each component of g builds one kernel per component.
+    check = FreshKernelCheck(monkeypatch)
+    g = disjoint_union(random_graph(60, 150, random.Random(1)), random_graph(40, 90, random.Random(2)))
+    components = {frozenset(c) for c in connected_components(g)}
+    for label in ("naive", "bm+", "cactus+"):
+        check.built.clear()
+        run_algorithm(g, label, 3, restarts=1)
+        assert len(check.built) >= 2
+        assert sum(map(len, check.built)) == len(frozenset().union(*check.built))
+        if label != "naive":
+            assert set(check.built) <= components
+    assert check.checks > 0
 
 
 def test_grow_maximal_rejects_nonplanar_start(k5):

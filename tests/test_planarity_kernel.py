@@ -6,6 +6,8 @@ randomly subdivided graphs), where suppression and the parallel merges it
 causes do most of the work.  `plus_edge` is checked the same way against the
 input graph plus one edge, since growth tests every candidate through it,
 and so is every candidate that `shares_a_wedge` keeps without the engine.
+A kernel kept in place by `add` is checked against a fresh one of the same
+graph: the same kernel, locations and closures.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 
 from maxplanar.planarity._engine import edge_addition_run
 from maxplanar.planarity._kernel import PlanarityKernel
+from oracles import assert_kernel_is_fresh
 
 nx = pytest.importorskip("networkx")
 
@@ -171,6 +174,65 @@ def test_plus_edge_inside_series_parallel_piece_leaves_kernel():
     assert sorted((min(e), max(e)) for e in plus) == [
         (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4)
     ]
+
+
+def test_plus_edge_inside_a_piece_keeps_the_verdict_but_grows_the_kernel():
+    # K4 on 0..3 with 0-1 replaced by the paths 0-4-1 and 0-5-1: the two
+    # paths merge into the kernel edge 0-1.  The chord 4-5 lies within that
+    # piece, so the verdict stays planar, but 4 and 5 now have degree 3 and
+    # the graph is its own kernel.
+    g = [(0, 4), (4, 1), (0, 5), (5, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    k = PlanarityKernel(g)
+    assert (k.n, len(k.edges)) == (4, 6)
+    assert k.plus_edge(4, 5) is None
+    assert _nx_planar(g + [(4, 5)])
+    fresh = PlanarityKernel(g + [(4, 5)])
+    assert (fresh.n, len(fresh.edges)) == (6, 10)
+    k.add([(4, 5)])
+    assert (k.n, k.edges) == (fresh.n, fresh.edges)
+    assert_kernel_is_fresh(k)
+
+
+@given(edge_lists(), st.integers(1, 6))
+@settings(max_examples=200, deadline=None)
+def test_kernel_kept_in_place_matches_a_fresh_one(drawn, batch):
+    # Build from a prefix of the edges, then add the rest in batches; after
+    # each, the kernel, every location and every closure are a fresh one's.
+    edges, rng = drawn
+    cut = rng.randrange(len(edges))
+    k = PlanarityKernel(edges[:cut])
+    for i in range(cut, len(edges), batch):
+        k.add(edges[i:i + batch])
+        assert_kernel_is_fresh(k)
+
+
+@given(edge_lists(), edge_lists())
+@settings(max_examples=150, deadline=None)
+def test_kernel_joined_by_a_bridge_matches_a_fresh_one(first, second):
+    # Growth joins two components by feeding one side's kernel the bridge,
+    # then the other side's edges; either side may have reduced away.
+    (e1, rng), (e2, _) = first, second
+    shift = 1 + max(v for e in e1 for v in e)
+    e2 = [(a + shift, b + shift) for a, b in e2]
+    a = rng.choice([v for e in e1 for v in e])
+    b = rng.choice([v for e in e2 for v in e])
+    k = PlanarityKernel(e1)
+    k.add([(a, b), *e2])
+    assert_kernel_is_fresh(k)
+    k = PlanarityKernel(e1)
+    k.add([(a, b + shift * 100)])  # to a vertex new to the input, alone
+    assert_kernel_is_fresh(k)
+
+
+def test_kernel_of_a_reduced_away_part_hangs_from_a_bridge():
+    # A triangle reduces away; bridged to a K4 it hangs from the K4 vertex
+    # it is joined to, and so do its vertices' closures.
+    k = PlanarityKernel([(10, 11), (11, 12), (10, 12)])
+    assert k.n == 0
+    k.add([(12, 3), (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    assert k.n == 4
+    assert sorted(k.closure(11)) == [3, 10, 11, 12]
+    assert_kernel_is_fresh(k)
 
 
 def test_closure_of_a_kernel_vertex_takes_the_pieces_at_it():
