@@ -219,3 +219,31 @@ class FreshKernelCheck:
 
         monkeypatch.setattr(PlanarityKernel, "add", checked_add)
         monkeypatch.setattr(PlanarityKernel, "__init__", counted_init)
+
+
+def watch_growth(monkeypatch) -> tuple[list[tuple[int, int]], list[bool], list[int]]:
+    """Record the candidates whose plus-edge kernel goes to the engine, the
+    engine's verdicts, and the size n + m of each graph the engine runs on."""
+    from maxplanar import heuristics
+    from maxplanar.planarity._kernel import PlanarityKernel
+
+    tested: list[tuple[int, int]] = []
+    verdicts: list[bool] = []
+    sizes: list[int] = []
+    plus_edge, engine = PlanarityKernel.plus_edge, heuristics.edge_addition_run
+
+    def watched_plus_edge(self, a, b):
+        plus = plus_edge(self, a, b)
+        if plus is not None:
+            tested.append((a, b))
+        return plus
+
+    def counting(n, edges, *args, **kwargs):
+        result = engine(n, edges, *args, **kwargs)
+        verdicts.append(result[0])
+        sizes.append(n + len(edges))
+        return result
+
+    monkeypatch.setattr(PlanarityKernel, "plus_edge", watched_plus_edge)
+    monkeypatch.setattr(heuristics, "edge_addition_run", counting)
+    return tested, verdicts, sizes

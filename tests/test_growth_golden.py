@@ -8,8 +8,11 @@ start, and, with one naive restart, on regular and scale-free n=1000, d=5,
 where most growth tests reject; so that any change to how a growth test is
 computed must give the same verdicts.  Scale-free n=3000, d=5 `cactus+`, where
 an accept touches the largest pieces of its component's kernel, is pinned by a
-sha256 of its kept set.  Regenerate the JSON only when the seeded order itself is
-meant to change:
+sha256 of its kept set.  `ENGINE_WORK` pins, on the `disconnected` graph and
+at n=1000, the engine runs per cell and the summed size of the graphs they run
+on, so that a change to how growth keeps its kernels must not make the engine
+do more.  Regenerate the JSON only when the seeded order itself is meant to
+change:
 
     PYTHONPATH=src python tests/test_growth_golden.py > tests/growth_golden.json
 """
@@ -24,7 +27,7 @@ from pathlib import Path
 import pytest
 
 from conftest import disjoint_union
-from oracles import FreshKernelCheck
+from oracles import FreshKernelCheck, watch_growth
 from maxplanar.generate import gen_regular, gen_scale_free
 from maxplanar.graph import Graph
 from maxplanar.heuristics import grow_maximal, run_algorithm
@@ -61,28 +64,34 @@ def random_planar_start(g: Graph, seed: int) -> frozenset[int]:
     return frozenset(e for e in sorted(edge_addition_subgraph(g, seed)) if rng.random() < 0.5)
 
 
-def compute_cells(names=None) -> dict[str, list[int]]:
-    cells = {}
+def golden_runs(names=None):
+    """(cell key, run) per golden cell of the graphs in `names`, where run()
+    returns the cell's kept set; the graphs are built as the runs are drawn."""
     for name, g in golden_graphs().items():
         if names is not None and name not in names:
             continue
         for algo in ALGORITHMS:
             for seed in SEEDS:
-                kept = run_algorithm(g, algo, seed, restarts=2).kept
-                cells[f"{name}/{algo}/{seed}"] = sorted(kept)
-        cells[f"{name}/grow"] = sorted(grow_maximal(g, random_planar_start(g, 5), 3))
-    return cells
+                yield f"{name}/{algo}/{seed}", lambda g=g, a=algo, s=seed: run_algorithm(g, a, s, restarts=2).kept
+        yield f"{name}/grow", lambda g=g: grow_maximal(g, random_planar_start(g, 5), 3)
 
 
-def compute_scale_cells(names=None) -> dict[str, list[int]]:
-    cells = {}
+def scale_runs(names=None):
+    """(cell key, run) per golden cell of the SCALE_GRAPHS in `names`."""
     for name, build in SCALE_GRAPHS.items():
         if names is not None and name not in names:
             continue
         g = build()
         for algo in ALGORITHMS:
-            cells[f"{name}/{algo}/0"] = sorted(run_algorithm(g, algo, 0, restarts=1).kept)
-    return cells
+            yield f"{name}/{algo}/0", lambda g=g, a=algo: run_algorithm(g, a, 0, restarts=1).kept
+
+
+def compute_cells(names=None) -> dict[str, list[int]]:
+    return {key: sorted(run()) for key, run in golden_runs(names)}
+
+
+def compute_scale_cells(names=None) -> dict[str, list[int]]:
+    return {key: sorted(run()) for key, run in scale_runs(names)}
 
 
 @pytest.mark.parametrize("name", list(golden_graphs()))
@@ -109,6 +118,37 @@ def test_kept_kernels_are_fresh_ones_at_scale(name, monkeypatch):
     golden = json.loads(GOLDEN_PATH.read_text())
     assert compute_scale_cells({name}) == {k: v for k, v in golden.items() if k.split("/")[0] == name}
     assert check.checks > 500
+
+
+# Per cell: the engine runs growth makes, and the summed n + m of the
+# plus-edge graphs they run on.  Kept sets alone would not show a change that
+# gives the same verdicts on larger graphs, or more of them.
+ENGINE_WORK = {
+    "disconnected/naive/0": (184, 11644),
+    "disconnected/naive/1": (182, 10073),
+    "disconnected/bm+/0": (90, 6563),
+    "disconnected/bm+/1": (91, 6673),
+    "disconnected/cactus+/0": (84, 5357),
+    "disconnected/cactus+/1": (89, 6458),
+    "disconnected/grow": (98, 5927),
+    "regular_n1000_d5/naive/0": (2465, 1196895),
+    "regular_n1000_d5/bm+/0": (2564, 1505445),
+    "regular_n1000_d5/cactus+/0": (1366, 624790),
+    "scale_free_n1000_d5/naive/0": (1841, 725299),
+    "scale_free_n1000_d5/bm+/0": (2642, 1407269),
+    "scale_free_n1000_d5/cactus+/0": (1121, 547876),
+}
+
+
+@pytest.mark.parametrize("name", ["disconnected", *SCALE_GRAPHS])
+def test_growth_engine_work(name, monkeypatch):
+    _, _, sizes = watch_growth(monkeypatch)
+    got = {}
+    for key, run in [*golden_runs({name}), *scale_runs({name})]:
+        sizes.clear()
+        run()
+        got[key] = len(sizes), sum(sizes)
+    assert got == {k: v for k, v in ENGINE_WORK.items() if k.split("/")[0] == name}
 
 
 # sha256 of the comma-joined ascending kept ids, and their count.

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import complete_graph, disjoint_union, random_graph, spanning_subgraph
-from maxplanar import heuristics
 from maxplanar.graph import DisjointSets, Graph, connected_components
 from maxplanar.heuristics import (
     ALGORITHMS,
@@ -21,7 +20,7 @@ from maxplanar.heuristics import (
 from maxplanar.planarity import edge_addition_subgraph, is_planar
 from maxplanar.planarity._kernel import PlanarityKernel
 from maxplanar.planarity.types import NonPlanarStartError
-from oracles import FreshKernelCheck, maximal_planar_subgraph_sizes, triangles_in
+from oracles import FreshKernelCheck, maximal_planar_subgraph_sizes, triangles_in, watch_growth
 
 
 def assert_maximal(g: Graph, kept: frozenset[int]) -> None:
@@ -58,29 +57,6 @@ def test_grow_maximal_k33(k33):
         assert_maximal(k33, kept)
 
 
-def _watch_growth(monkeypatch) -> tuple[list[tuple[int, int]], list[bool]]:
-    """Record the candidates whose plus-edge kernel goes to the engine, and
-    the engine's verdicts."""
-    tested: list[tuple[int, int]] = []
-    verdicts: list[bool] = []
-    plus_edge, engine = PlanarityKernel.plus_edge, heuristics.edge_addition_run
-
-    def watched_plus_edge(self, a, b):
-        plus = plus_edge(self, a, b)
-        if plus is not None:
-            tested.append((a, b))
-        return plus
-
-    def counting(*args, **kwargs):
-        result = engine(*args, **kwargs)
-        verdicts.append(result[0])
-        return result
-
-    monkeypatch.setattr(PlanarityKernel, "plus_edge", watched_plus_edge)
-    monkeypatch.setattr(heuristics, "edge_addition_run", counting)
-    return tested, verdicts
-
-
 def test_grow_maximal_runs_engine_once_per_test(monkeypatch, k5, k33):
     # An edge that bridges two components, that no planar graph could hold,
     # whose ends lie within one piece of its component's kernel or beside
@@ -88,7 +64,7 @@ def test_grow_maximal_runs_engine_once_per_test(monkeypatch, k5, k33):
     # decided without the engine; every other edge costs exactly one engine
     # call.
     # The benchmark counts growth tests by these calls.
-    tested, verdicts = _watch_growth(monkeypatch)
+    tested, verdicts, _ = watch_growth(monkeypatch)
     for seed in range(8):
         # K3,3: five bridges span it.  The first three other edges meet an
         # empty kernel (at most two independent cycles reduce away); the
@@ -135,7 +111,7 @@ def test_grow_maximal_reject_settles_edges_in_its_closures(monkeypatch):
     start = [(0, 5), (5, 2), (1, 6), (6, 3), (0, 3), (0, 4), (1, 2), (1, 4),
              (2, 3), (2, 4), (3, 4)]
     g = Graph(7, tuple(start + [(0, 1), (5, 6)]))
-    tested, verdicts = _watch_growth(monkeypatch)
+    tested, verdicts, _ = watch_growth(monkeypatch)
     firsts = set()
     for seed in range(8):
         tested.clear()
@@ -164,7 +140,7 @@ def test_grow_maximal_keeps_a_triangulating_start_without_the_engine(monkeypatch
     present = {frozenset(e) for e in edges}
     others = [p for p in itertools.combinations(range(n), 2) if frozenset(p) not in present]
     g = Graph(n, tuple(edges + rng.sample(others, 60)))
-    tested, verdicts = _watch_growth(monkeypatch)
+    tested, verdicts, _ = watch_growth(monkeypatch)
     for seed in range(4):
         assert grow_maximal(g, start, seed) == start
     assert tested == [] and verdicts == []
@@ -183,7 +159,7 @@ def test_grow_maximal_verdicts_without_engine_match_networkx(draw):
     start = frozenset(e for e in sorted(edge_addition_subgraph(g, draw)) if rng.random() < share)
     seed = rng.randrange(SEED_SPACE)
     with pytest.MonkeyPatch.context() as mp:
-        tested, _ = _watch_growth(mp)
+        tested, _, _ = watch_growth(mp)
         kept = grow_maximal(g, start, seed)
     order = [e for e in range(len(g.edges)) if e not in start]
     random.Random(seed).shuffle(order)
