@@ -27,7 +27,7 @@ from .exact import ExactResult, check_time_limit, exact_skewness
 from .generate import GeneratorSpec
 from .graph import Graph
 from .graphio import make_dir, read_graph, read_text, write_text
-from .heuristics import ALGORITHMS, cactus_plus, run_algorithm
+from .heuristics import ALGORITHMS, cactus_plus, check_seed, run_algorithm
 from .planarize import insert_edges_fixed
 
 CSV_HEADER = "instance,set,n,m,algorithm,seed,edges_kept,density,runtime_ms,status,crossings"
@@ -73,9 +73,8 @@ class SuiteConfig:
             check_time_limit(self.time_limit_ms)
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        # Random(-s) draws what Random(s) draws: two cells would run one computation.
-        if any(seed < 0 for seed in self.seeds):
-            raise ValueError(f"seeds must be >= 0, got {min(self.seeds)}")
+        for seed in self.seeds:
+            check_seed(seed, "seeds")
         # A repeated key would merge distinct cells in the records and in aggregate().
         instance_keys = [(r.set_label, r.instance_id) for r in self.instances]
         for what, keys in (("(set, instance id)", instance_keys),

@@ -16,7 +16,8 @@ EdgeSet = frozenset[int]
 
 
 class GraphError(ValueError):
-    """Invalid graph input (loop, parallel edge, endpoint out of range)."""
+    """Invalid graph input (loop, parallel edge, endpoint out of range or not
+    an int, a bool not being one)."""
 
 
 @dataclass(frozen=True)
@@ -32,15 +33,16 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.vertex_count < 0:
-            raise GraphError("vertex_count must be nonnegative")
-        object.__setattr__(self, "edges", tuple((int(a), int(b)) for a, b in self.edges))
+        n = self.vertex_count
+        if type(n) is not int or n < 0:
+            raise GraphError(f"vertex_count must be a nonnegative int, got {n!r}")
+        object.__setattr__(self, "edges", tuple((a, b) for a, b in self.edges))
         seen: set[tuple[int, int]] = set()
         for i, (a, b) in enumerate(self.edges):
+            if not (type(a) is type(b) is int and 0 <= a < n and 0 <= b < n):
+                raise GraphError(f"edge {i} endpoint not an int or out of range: ({a!r}, {b!r})")
             if a == b:
                 raise GraphError(f"edge {i} is a self-loop at vertex {a}")
-            if not (0 <= a < self.vertex_count and 0 <= b < self.vertex_count):
-                raise GraphError(f"edge {i} endpoint out of range: ({a}, {b})")
             key = (a, b) if a < b else (b, a)
             if key in seen:
                 raise GraphError(f"edge {i} duplicates {key}")

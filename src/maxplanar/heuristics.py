@@ -3,9 +3,8 @@ A start set -- empty (`naive`), one skip-mode pass (`bm`) or a triangular
 cactus (`cactus`) -- is grown to maximality for `naive`, `bm+` and `cactus+`.
 
 Growth runs the planarity engine on the planarity kernel of a candidate's
-component plus the edge, never on the whole component, and only when the
-kernel, a degree-3 kernel vertex beside both ends, or an earlier reject
-does not settle the verdict; see `grow_maximal`.
+component of the input graph plus the edge, and only when no cheaper rule
+settles the verdict; see `grow_maximal`.
 
 All operations are pure in (graph, seed): identical inputs give identical
 kept-edge sets.  Runtime is measured around the algorithm itself, excluding
@@ -26,6 +25,14 @@ from .planarity._kernel import PlanarityKernel
 from .planarity.types import NonPlanarStartError
 
 SEED_SPACE = 2**63
+
+
+def check_seed(seed: int, name: str = "seed") -> None:
+    """Refuse a seed that is not an int (a bool is not) or is negative."""
+    if type(seed) is not int:  # a records CSV could not read it back
+        raise ValueError(f"{name}: {seed!r} is not an int")
+    if seed < 0:  # Random(-s) draws what Random(s) draws
+        raise ValueError(f"{name} must be >= 0, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -51,54 +58,40 @@ def grow_maximal(g: Graph, start: Iterable[int], seed: int) -> EdgeSet:
     An edge that joins two components is kept untested, and one that breaks
     its component's Euler bound is dropped untested: so is every edge once
     the kept set has 3n - 6 edges, as it is then one component.  The others
-    meet the planarity kernel of their component (trees peeled, degree-2
-    chains suppressed, parallel edges merged), built at the first of them
-    and kept in place through every later accept (`PlanarityKernel.add`).
-    Three rules spare the engine.  An edge within one piece of the kernel
-    and its terminals is kept, as it leaves a planar component planar.  So
-    is an edge whose ends' kernel locations share a kernel neighbour of
-    degree 3, since one face of every embedding holds both (see
-    `PlanarityKernel.shares_a_wedge`).  And as
-    planarity is closed under minors, an engine reject drops, each at its
+    meet the planarity kernel of the kept edges in their component of g
+    (trees peeled, degree-2 chains suppressed, parallel edges merged): one
+    kernel per component of g, built from the start edges in it and kept in
+    place as every kept edge is added (`PlanarityKernel.add`), so kernels
+    never merge.  Three rules, proved in the `planarity._kernel` docstring,
+    spare the engine: an edge within one piece of the kernel is kept, and so
+    is one whose ends' kernel locations share a kernel neighbour of degree 3
+    (`PlanarityKernel.shares_a_wedge`); an engine reject drops, each at its
     turn, every edge of g between the closures of the rejected ends' kernel
-    locations: each such edge's plus-edge graph has the rejected one as a
-    minor, now and after any growth (see `PlanarityKernel.closure`).  Every
+    locations (`PlanarityKernel.closure`), as each such edge's plus-edge
+    graph has the rejected one as a minor, now and after any growth.  Every
     other edge costs one engine run on the kernel plus the edge.
     """
     start = g.check_edge_set(start)
     n = g.vertex_count
-    ds = DisjointSets(n)  # components, with their vertex counts
-    # Per component root: its edges as endpoint pairs.
-    comp_edges: dict[int, list[tuple[int, int]]] = {}
-    # Per component root: the kernel of the component as it stands, built at
-    # its first test and kept in place as the component grows.
-    kernels: dict[int, PlanarityKernel] = {}
+    ds = DisjointSets(n)  # the kept graph's components, with their vertex counts
+    m = [0] * n  # per root of ds: its component's kept edge count
 
-    def absorb(eid: int) -> None:
-        """Add edge to the component structures.  A bridge feeds the edge, then
-        the other side's edges, to a side's kernel: the larger side's if both."""
-        a, b = g.edges[eid]
+    def keep(a: int, b: int) -> None:
         ra, rb = ds.find(a), ds.find(b)
-        ea = comp_edges.pop(ra, [])
-        eb = comp_edges.pop(rb, []) if ra != rb else []
-        ka, kb = kernels.pop(ra, None), kernels.pop(rb, None)
-        if kb is not None and (ka is None or len(eb) > len(ea)):
-            ea, eb, ka, a, b = eb, ea, kb, b, a
-        ds.union(a, b)
-        if ka is not None:
-            ka.add([(a, b), *eb])
-            kernels[ds.find(a)] = ka
-        if len(ea) < len(eb):
-            ea, eb = eb, ea
-        ea.extend(eb)
-        ea.append((a, b))
-        comp_edges[ds.find(a)] = ea
+        ds.union(ra, rb)
+        m[ds.find(ra)] = m[ra] + (m[rb] if ra != rb else 0) + 1
 
+    comps = DisjointSets(n)  # the components of g
+    for a, b in g.edges:
+        comps.union(a, b)
+    own = {comps.find(a): [] for a, _ in g.edges}  # per component of g: its start edges
     for eid in start:
-        absorb(eid)
+        a, b = g.edges[eid]
+        own[comps.find(a)].append((a, b))
+        keep(a, b)
+    kernels = {r: PlanarityKernel(edges) for r, edges in own.items()}
     if start and not is_planar(g, start):
         raise NonPlanarStartError("starting edge set is not planar")
-
     kept = set(start)
     rest = [e for e in range(len(g.edges)) if e not in kept]
     rng = random.Random(seed)
@@ -111,28 +104,22 @@ def grow_maximal(g: Graph, start: Iterable[int], seed: int) -> EdgeSet:
         if eid in settled:
             continue
         a, b = g.edges[eid]
-        ra, rb = ds.find(a), ds.find(b)
-        if ra != rb:
-            # Bridging two planar components always stays planar.
-            absorb(eid)
-            kept.add(eid)
-            continue
-        ce = comp_edges[ra]
-        nc = ds.size[ra]
-        if nc >= 3 and len(ce) + 1 > 3 * nc - 6:
-            continue  # Euler bound: cannot be planar
-        kernel = kernels.get(ra)
-        if kernel is None:
-            kernel = kernels[ra] = PlanarityKernel(ce)
-        # None: the edge fits in a face at a degree-3 kernel vertex, or lies
-        # within one piece of the planar component.
-        plus = None if kernel.shares_a_wedge(a, b) else kernel.plus_edge(a, b)
-        if plus is not None and not edge_addition_run(*plus)[0]:
-            # Non-planar with this component and every one it grows into.
-            ends = set(kernel.closure(b))
-            settled.update(e for u in kernel.closure(a) for w, e in adj[u] if w in ends)
-            continue
-        absorb(eid)
+        kernel = kernels[comps.find(a)]
+        r = ds.find(a)
+        # Bridging two planar components always stays planar.
+        if r == ds.find(b):  # so the component has >= 3 vertices: a, b are not adjacent
+            if m[r] >= 3 * ds.size[r] - 6:
+                continue  # Euler bound: cannot be planar
+            # None: the edge fits in a face at a degree-3 kernel vertex, or lies
+            # within one piece of the planar component.
+            plus = None if kernel.shares_a_wedge(a, b) else kernel.plus_edge(a, b)
+            if plus is not None and not edge_addition_run(*plus)[0]:
+                # Non-planar with this component and every one it grows into.
+                ends = set(kernel.closure(b))
+                settled.update(e for u in kernel.closure(a) for w, e in adj[u] if w in ends)
+                continue
+        kernel.add([(a, b)])
+        keep(a, b)
         kept.add(eid)
     return frozenset(kept)
 
@@ -200,8 +187,7 @@ def run_algorithm(
         raise ValueError(f"unknown algorithm {name!r}")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    if seed < 0:  # Random(-s) draws what Random(s) draws
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    check_seed(seed)
     t0 = time.perf_counter()
     if name == "naive":
         rng = random.Random(seed)

@@ -39,6 +39,8 @@ subdividing vertex into its kernel vertex gives back the first graph.
 `add` keeps the kernel in place, as on-line SPQR trees do (Di Battista and
 Tamassia, Algorithmica 15, 1996): no kernel vertex loses degree when an edge
 is added, so only the pieces at its ends are put back and reduced again.
+An edge between two parts that reduced away entirely puts back neither: a
+bridge adds no K4 minor, so the joined part reduces away too.
 """
 
 from __future__ import annotations
@@ -75,21 +77,21 @@ class PlanarityKernel:
     def add(self, edges: Iterable[tuple[int, int]]) -> None:
         """Make this the kernel of the input graph plus `edges`: put back the
         pieces at their ends, add the edges, and reduce what was put back.
-        An edge from a part that reduced away entirely to a vertex new to the
-        input hangs that part from the new vertex."""
+        An edge between two parts that reduced away entirely, a vertex new to
+        the input counting as one, only hangs the smaller part from the
+        larger's last vertex: joined by a bridge, they still reduce away."""
         adj, nbrs, fwd, members = self._adj, self._nbrs, self._fwd, self._members
         low: list[int] = []  # vertices put back or new; removed if degree <= 2
         for a, b in edges:
-            if b in adj:
-                a, b = b, a
-            if b not in adj and a in adj and a not in nbrs:
-                r = self._locate(a)
-                if type(r) is int and r not in nbrs:
-                    fwd[r], members[b] = b, members.pop(r)
-                    adj[a].add(b)
-                    adj[b], nbrs[b] = {a}, set()
-                    low.append(b)
-                    continue
+            ra, rb = self._locate(a), self._locate(b)  # a new vertex is its own
+            if ra != rb and type(ra) is type(rb) is int and ra not in nbrs and rb not in nbrs:
+                if len(members.get(ra, ())) < len(members.get(rb, ())):
+                    ra, rb = rb, ra
+                members.setdefault(ra, [ra]).extend(members.pop(rb, [rb]))
+                fwd[rb] = ra
+                adj.setdefault(a, set()).add(b)
+                adj.setdefault(b, set()).add(a)
+                continue
             for v in (a, b):
                 if v not in adj:
                     adj[v], nbrs[v] = set(), set()
@@ -165,7 +167,8 @@ class PlanarityKernel:
 
     def _locate(self, v: int) -> object:
         """Where input vertex v lies: a kernel vertex, a kernel edge, or the
-        last vertex of its component when that reduced away entirely."""
+        last vertex of its component when that reduced away entirely; v
+        itself when new to the input."""
         fwd = self._fwd
         path = []
         t: object = v

@@ -27,6 +27,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .graph import DisjointSets, Graph
+from .heuristics import check_seed
 from .planarity._lr import lr_embedding
 from .planarity.types import Embedding, NonPlanarStartError, arc_rotations, trace_faces
 
@@ -138,8 +139,7 @@ def insert_edges_fixed(
     (least arc first).  Faces are traced once; an insertion re-traces only
     the faces it changes.
     """
-    if seed < 0:  # Random(-s) draws what Random(s) draws
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    check_seed(seed)
     kept_ids = sorted(g.check_edge_set(kept))
     kept = frozenset(kept_ids)
     n = g.vertex_count

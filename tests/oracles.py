@@ -186,14 +186,13 @@ def assert_kernel_is_fresh(k) -> None:
 
 class FreshKernelCheck:
     """While active, checks every `PlanarityKernel.add` against a fresh
-    kernel of the same input graph, and records each kernel's vertex set
-    when it is constructed."""
+    kernel of the same input graph, and records each kernel constructed."""
 
     def __init__(self, monkeypatch) -> None:
         from maxplanar.planarity._kernel import PlanarityKernel
 
         self.checks = 0
-        self.built: list[frozenset[int]] = []
+        self.built: list[PlanarityKernel] = []
         add, init = PlanarityKernel.add, PlanarityKernel.__init__
         busy = []
 
@@ -208,9 +207,8 @@ class FreshKernelCheck:
                 self.checks += 1
 
         def counted_init(kernel, edges):
-            edges = list(edges)
             if not busy:
-                self.built.append(frozenset(v for e in edges for v in e))
+                self.built.append(kernel)
             busy.append(True)
             try:
                 init(kernel, edges)

@@ -545,6 +545,19 @@ def test_suite_config_rejects_invalid_settings(field, value):
                        field: value})
 
 
+@pytest.mark.parametrize("seed", [1.5, True, "3"])
+def test_non_int_seeds_are_refused(k5, seed):
+    # A float seed used to run and be written as 1.5, which read_records_csv
+    # then refused; True ran as seed 1.  Each entry point that refuses a
+    # negative seed refuses these too.
+    with pytest.raises(ValueError, match="seeds: .* is not an int"):
+        SuiteConfig(instances=(k5_ref(),), algorithms=("bm",), seeds=(0, seed))
+    with pytest.raises(ValueError, match="seed: .* is not an int"):
+        run_algorithm(k5, "bm", seed)
+    with pytest.raises(ValueError, match="seed: .* is not an int"):
+        insert_edges_fixed(k5, run_algorithm(k5, "bm", 0).kept, seed)
+
+
 @pytest.mark.parametrize("field, value, repeated", [
     ("instances", (k5_ref(), InstanceRef("k5", "named", graph=complete_graph(4))), "('named', 'k5')"),
     ("algorithms", ("bm", "cactus", "bm"), "'bm'"),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,22 @@ def test_rejects_parallel_edges():
 def test_rejects_out_of_range_endpoint():
     with pytest.raises(GraphError):
         Graph(2, ((0, 2),))
+
+
+@pytest.mark.parametrize("n, edges, shown", [
+    (3, ((0, 1.7),), "(0, 1.7)"),  # int() would have read (0, 1)
+    (3, ((True, 2),), "(True, 2)"),  # and (1, 2)
+    (3, ((0, 1), ("2", 0)), "('2', 0)"),
+    (2.5, ((0, 1),), "2.5"),  # used to fail later, in run_algorithm
+    (True, (), "True"),
+])
+def test_rejects_non_int_vertices(n, edges, shown):
+    with pytest.raises(GraphError, match=re.escape(shown)):
+        Graph(n, edges)
+
+
+def test_edges_given_as_lists_become_tuples():
+    assert Graph(3, [[0, 1], [1, 2]]).edges == ((0, 1), (1, 2))
 
 
 def test_subgraph_triangle_of_k4(k4):

@@ -17,7 +17,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maxplanar.planarity._engine import edge_addition_run
@@ -206,16 +206,33 @@ def test_kernel_kept_in_place_matches_a_fresh_one(drawn, batch):
         assert_kernel_is_fresh(k)
 
 
+TRIANGLE = [(0, 1), (1, 2), (0, 2)]
+PATH = [(0, 1), (1, 2), (2, 3)]
+THETA = [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)]
+K4 = list(itertools.combinations(range(4), 2))
+
+
 @given(edge_lists(), edge_lists())
+@example((TRIANGLE, random.Random(0)), (PATH, random.Random(0)))
+@example((THETA, random.Random(1)), (TRIANGLE, random.Random(1)))
+@example((PATH, random.Random(2)), (K4, random.Random(2)))
+@example((K4, random.Random(3)), (THETA, random.Random(3)))
 @settings(max_examples=150, deadline=None)
 def test_kernel_joined_by_a_bridge_matches_a_fresh_one(first, second):
-    # Growth joins two components by feeding one side's kernel the bridge,
-    # then the other side's edges; either side may have reduced away.
+    # Growth keeps one kernel per component of its host graph, so a bridge
+    # between two kept components is one edge added to a kernel that holds
+    # both sides.  Either side may have reduced away: two such parts, or one
+    # and a vertex new to the input, are joined without being put back.
+    # Fed the bridge and then the other side's edges, the kernel must also
+    # come out fresh.
     (e1, rng), (e2, _) = first, second
     shift = 1 + max(v for e in e1 for v in e)
     e2 = [(a + shift, b + shift) for a, b in e2]
     a = rng.choice([v for e in e1 for v in e])
     b = rng.choice([v for e in e2 for v in e])
+    k = PlanarityKernel(e1 + e2)
+    k.add([(a, b)])
+    assert_kernel_is_fresh(k)
     k = PlanarityKernel(e1)
     k.add([(a, b), *e2])
     assert_kernel_is_fresh(k)
