@@ -177,8 +177,8 @@ def test_grow_maximal_verdicts_without_engine_match_networkx(draw):
 @settings(max_examples=60, deadline=None)
 def test_grow_maximal_keeps_each_kernel_as_a_fresh_one(draw):
     # Two random parts joined by a few edges, grown from a random planar
-    # start: components that each have a kernel get bridged, and after every
-    # accept the kept kernel equals a fresh one of its component.
+    # start: the parts' kept edges share one kernel, the cross edges bridge
+    # them inside it, and after every add that kernel equals a fresh one.
     rng = random.Random(draw)
     sizes = rng.randint(4, 25), rng.randint(4, 25)
     parts = disjoint_union(*(random_graph(n, rng.randint(n, 3 * n), rng) for n in sizes))
