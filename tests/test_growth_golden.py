@@ -8,10 +8,10 @@ start, and, with one naive restart, on regular and scale-free n=1000, d=5,
 where most growth tests reject; so that any change to how a growth test is
 computed must give the same verdicts.  Scale-free n=3000, d=5 `cactus+`, where
 an accept touches the largest pieces of its component's kernel, is pinned by a
-sha256 of its kept set.  `ENGINE_WORK` pins, on the `disconnected` graph and
-at n=1000, the engine runs per cell and the summed size of the graphs they run
-on, so that a change to how growth keeps its kernels must not make the engine
-do more.  Regenerate the JSON only when the seeded order itself is meant to
+sha256 of its kept set.  `ENGINE_WORK` pins, on the `disconnected` graph, at
+n=1000 and on two clusters joined by one edge, the engine runs per cell and the
+summed size of the graphs they run on, so that a change to how growth keeps its
+kernels must not make the engine do more.  Regenerate the JSON only when the seeded order itself is meant to
 change:
 
     PYTHONPATH=src python tests/test_growth_golden.py > tests/growth_golden.json
@@ -57,6 +57,18 @@ SCALE_GRAPHS = {
 }
 
 
+def two_clusters() -> Graph:
+    """Two regular n=100, d=5 clusters joined by the edge 0-100: one component
+    of g in which naive growth keeps two components with kernels for a while,
+    and each engine run meanwhile covers both."""
+    g = disjoint_union(gen_regular(100, 10, 1), gen_regular(100, 10, 2))
+    return Graph(g.vertex_count, (*g.edges, (0, 100)))
+
+
+# The graphs whose engine work is pinned at seed 0 with one naive restart.
+WORK_GRAPHS = {**SCALE_GRAPHS, "two_clusters": two_clusters}
+
+
 def random_planar_start(g: Graph, seed: int) -> frozenset[int]:
     """A random half of a skip-mode planar subgraph: planar, tree- and
     path-rich, so growth from it starts on components full of low degrees."""
@@ -76,9 +88,9 @@ def golden_runs(names=None):
         yield f"{name}/grow", lambda g=g: grow_maximal(g, random_planar_start(g, 5), 3)
 
 
-def scale_runs(names=None):
-    """(cell key, run) per golden cell of the SCALE_GRAPHS in `names`."""
-    for name, build in SCALE_GRAPHS.items():
+def scale_runs(names=None, graphs=SCALE_GRAPHS):
+    """(cell key, run) per golden cell of the `graphs` in `names`."""
+    for name, build in graphs.items():
         if names is not None and name not in names:
             continue
         g = build()
@@ -137,14 +149,17 @@ ENGINE_WORK = {
     "scale_free_n1000_d5/naive/0": (1841, 725299),
     "scale_free_n1000_d5/bm+/0": (2642, 1407269),
     "scale_free_n1000_d5/cactus+/0": (1121, 547876),
+    "two_clusters/naive/0": (439, 111481),
+    "two_clusters/bm+/0": (523, 169238),
+    "two_clusters/cactus+/0": (474, 181818),
 }
 
 
-@pytest.mark.parametrize("name", ["disconnected", *SCALE_GRAPHS])
+@pytest.mark.parametrize("name", ["disconnected", *WORK_GRAPHS])
 def test_growth_engine_work(name, monkeypatch):
     _, _, sizes = watch_growth(monkeypatch)
     got = {}
-    for key, run in [*golden_runs({name}), *scale_runs({name})]:
+    for key, run in [*golden_runs({name}), *scale_runs({name}, WORK_GRAPHS)]:
         sizes.clear()
         run()
         got[key] = len(sizes), sum(sizes)
