@@ -27,7 +27,7 @@ from .exact import ExactResult, check_time_limit, exact_skewness
 from .generate import GeneratorSpec
 from .graph import Graph
 from .graphio import make_dir, read_graph, read_text, write_text
-from .heuristics import ALGORITHMS, cactus_plus, check_seed, run_algorithm
+from .heuristics import ALGORITHMS, cactus_plus, check_int, run_algorithm
 from .planarize import insert_edges_fixed
 
 CSV_HEADER = "instance,set,n,m,algorithm,seed,edges_kept,density,runtime_ms,status,crossings"
@@ -67,14 +67,13 @@ class SuiteConfig:
         for label in self.algorithms:
             if label != "exact" and label.removeprefix("planarize:") not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {label!r}")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        check_int(self.restarts, "restarts", 1)
         if self.time_limit_ms is not None:
             check_time_limit(self.time_limit_ms)
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.workers is not None:
+            check_int(self.workers, "workers", 1)
         for seed in self.seeds:
-            check_seed(seed, "seeds")
+            check_int(seed, "seeds", 0)
         # A repeated key would merge distinct cells in the records and in aggregate().
         instance_keys = [(r.set_label, r.instance_id) for r in self.instances]
         for what, keys in (("(set, instance id)", instance_keys),

@@ -26,6 +26,10 @@ class GeneratorSpec:
     def __post_init__(self) -> None:
         if self.family not in ("regular", "scale_free"):
             raise GeneratorError(f"unknown family {self.family!r}")
+        for name in ("n", "density", "seed"):  # True would build 1 under "_sTrue"
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise GeneratorError(f"{name}: {value!r} is not an int")
         if self.seed < 0:  # Random(-s) draws what Random(s) draws
             raise GeneratorError(f"seed must be >= 0, got {self.seed}")
 

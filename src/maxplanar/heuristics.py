@@ -27,12 +27,14 @@ from .planarity.types import NonPlanarStartError
 SEED_SPACE = 2**63
 
 
-def check_seed(seed: int, name: str = "seed") -> None:
-    """Refuse a seed that is not an int (a bool is not) or is negative."""
-    if type(seed) is not int:  # a records CSV could not read it back
-        raise ValueError(f"{name}: {seed!r} is not an int")
-    if seed < 0:  # Random(-s) draws what Random(s) draws
-        raise ValueError(f"{name} must be >= 0, got {seed}")
+def check_int(value: int, name: str, least: int) -> None:
+    """Refuse a seed or count that is not an int (a bool is not) or is below
+    `least`: a records CSV could not read 1.5 back, and True would run as 1.
+    Seeds start at 0, as Random(-s) draws what Random(s) draws."""
+    if type(value) is not int:
+        raise ValueError(f"{name}: {value!r} is not an int")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -55,32 +57,24 @@ def grow_maximal(g: Graph, start: Iterable[int], seed: int) -> EdgeSet:
     the moment it is tried.  One pass suffices: planarity never returns once
     lost, so an edge rejected earlier would be rejected against any superset.
 
-    An edge that joins two components is kept untested, and one that breaks
-    its component's Euler bound is dropped untested: so is every edge once
-    the kept set has 3n - 6 edges, as it is then one component.  The others
-    meet the planarity kernel of the kept edges in their component of g
-    (trees peeled, degree-2 chains suppressed, parallel edges merged): one
-    kernel per component of g, built from the start edges in it and kept in
-    place as every kept edge is added (`PlanarityKernel.add`), so kernels
-    never merge.  Three rules, proved in the `planarity._kernel` docstring,
-    spare the engine: an edge within one piece of the kernel is kept, and so
-    is one whose ends' kernel locations share a kernel neighbour of degree 3
-    (`PlanarityKernel.shares_a_wedge`); an engine reject drops, each at its
-    turn, every edge of g between the closures of the rejected ends' kernel
-    locations (`PlanarityKernel.closure`), as each such edge's plus-edge
-    graph has the rejected one as a minor, now and after any growth.  Every
-    other edge costs one engine run on the kernel plus the edge.
+    Growth stops once the kept set has 3n - 6 edges (n >= 3), as it is then
+    maximal planar.  Until then, each candidate meets the planarity kernel of
+    the kept edges in its component of g (trees peeled, degree-2 chains
+    suppressed, parallel edges merged): one kernel per component of g, built
+    from the start edges in it and kept in place as every kept edge is added
+    (`PlanarityKernel.add`), so kernels never merge.  Three rules, proved in
+    the `planarity._kernel` docstring, spare the engine: an edge within one
+    piece of the kernel is kept (so is a bridge into a part that reduced away
+    entirely), and so is one whose ends' kernel locations share a kernel
+    neighbour of degree 3 (`PlanarityKernel.shares_a_wedge`); an engine reject
+    drops, each at its turn, every edge of g between the closures of the
+    rejected ends' kernel locations (`PlanarityKernel.closure`), as each such
+    edge's plus-edge graph has the rejected one as a minor, now and after any
+    growth.  Every other edge costs one engine run on the kernel plus the edge;
+    the engine rejects one past its component's Euler bound before any search.
     """
     start = g.check_edge_set(start)
     n = g.vertex_count
-    ds = DisjointSets(n)  # the kept graph's components, with their vertex counts
-    m = [0] * n  # per root of ds: its component's kept edge count
-
-    def keep(a: int, b: int) -> None:
-        ra, rb = ds.find(a), ds.find(b)
-        ds.union(ra, rb)
-        m[ds.find(ra)] = m[ra] + (m[rb] if ra != rb else 0) + 1
-
     comps = DisjointSets(n)  # the components of g
     for a, b in g.edges:
         comps.union(a, b)
@@ -88,7 +82,6 @@ def grow_maximal(g: Graph, start: Iterable[int], seed: int) -> EdgeSet:
     for eid in start:
         a, b = g.edges[eid]
         own[comps.find(a)].append((a, b))
-        keep(a, b)
     kernels = {r: PlanarityKernel(edges) for r, edges in own.items()}
     if start and not is_planar(g, start):
         raise NonPlanarStartError("starting edge set is not planar")
@@ -101,25 +94,21 @@ def grow_maximal(g: Graph, start: Iterable[int], seed: int) -> EdgeSet:
     settled: set[int] = set()
     adj = adjacency(n, g.edges)
     for eid in rest:
+        if n >= 3 and len(kept) >= 3 * n - 6:
+            break  # maximal planar
         if eid in settled:
             continue
         a, b = g.edges[eid]
         kernel = kernels[comps.find(a)]
-        r = ds.find(a)
-        # Bridging two planar components always stays planar.
-        if r == ds.find(b):  # so the component has >= 3 vertices: a, b are not adjacent
-            if m[r] >= 3 * ds.size[r] - 6:
-                continue  # Euler bound: cannot be planar
-            # None: the edge fits in a face at a degree-3 kernel vertex, or lies
-            # within one piece of the planar component.
-            plus = None if kernel.shares_a_wedge(a, b) else kernel.plus_edge(a, b)
-            if plus is not None and not edge_addition_run(*plus)[0]:
-                # Non-planar with this component and every one it grows into.
-                ends = set(kernel.closure(b))
-                settled.update(e for u in kernel.closure(a) for w, e in adj[u] if w in ends)
-                continue
+        # None: the edge fits in a face at a degree-3 kernel vertex, or lies
+        # within one piece of the planar component.
+        plus = None if kernel.shares_a_wedge(a, b) else kernel.plus_edge(a, b)
+        if plus is not None and not edge_addition_run(*plus)[0]:
+            # Non-planar with this component and every one it grows into.
+            ends = set(kernel.closure(b))
+            settled.update(e for u in kernel.closure(a) for w, e in adj[u] if w in ends)
+            continue
         kernel.add([(a, b)])
-        keep(a, b)
         kept.add(eid)
     return frozenset(kept)
 
@@ -185,9 +174,8 @@ def run_algorithm(
     """
     if name not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {name!r}")
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
-    check_seed(seed)
+    check_int(restarts, "restarts", 1)
+    check_int(seed, "seed", 0)
     t0 = time.perf_counter()
     if name == "naive":
         rng = random.Random(seed)

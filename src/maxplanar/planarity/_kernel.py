@@ -182,7 +182,10 @@ class PlanarityKernel:
     def _widens_a_piece(self, la: object, lb: object) -> bool:
         """Whether an edge between two locations lies within one piece that
         reduces away (a pendant or series-parallel piece with its terminals,
-        or a whole component), so that a planar graph stays planar."""
+        or a whole component), so that a planar graph stays planar.  This is
+        growth's only bridge rule: a bridge into a part that reduced away
+        entirely, or to a vertex new to the kernel, lies within one such
+        piece; a bridge between two kernel parts goes to the engine."""
         if la == lb:
             return True
         if type(la) is tuple:

@@ -27,7 +27,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .graph import DisjointSets, Graph
-from .heuristics import check_seed
+from .heuristics import check_int
 from .planarity._lr import lr_embedding
 from .planarity.types import Embedding, NonPlanarStartError, arc_rotations, trace_faces
 
@@ -139,7 +139,7 @@ def insert_edges_fixed(
     (least arc first).  Faces are traced once; an insertion re-traces only
     the faces it changes.
     """
-    check_seed(seed)
+    check_int(seed, "seed", 0)
     kept_ids = sorted(g.check_edge_set(kept))
     kept = frozenset(kept_ids)
     n = g.vertex_count

@@ -538,8 +538,12 @@ def test_cli_run_format_overrides_extension(tmp_path):
 
 @pytest.mark.parametrize("field, value", [("restarts", 0), ("time_limit_ms", 0.0),
                                           ("time_limit_ms", -5.0), ("time_limit_ms", math.inf),
-                                          ("workers", 0), ("workers", -3), ("seeds", (-7, 7))])
+                                          ("workers", 0), ("workers", -3), ("seeds", (-7, 7)),
+                                          ("restarts", 2.5), ("restarts", True),
+                                          ("workers", 2.5), ("workers", True)])
 def test_suite_config_rejects_invalid_settings(field, value):
+    # restarts=2.5 used to turn every naive cell into an error record, and
+    # workers=2.5 let up to three workers start.
     with pytest.raises(ValueError, match=field):
         SuiteConfig(**{"instances": (k5_ref(),), "algorithms": ("naive",), "seeds": (0,),
                        field: value})

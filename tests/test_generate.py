@@ -104,6 +104,18 @@ def test_spec_rejects_negative_seed():
         GeneratorSpec("regular", 10, 2, -1)
 
 
+@pytest.mark.parametrize("n, density, seed, field", [
+    (10, 2, True, "seed"), (10, 2, 1.5, "seed"), (10, True, 0, "density"),
+    (10, 2.0, 0, "density"), (10.0, 2, 0, "n"), (False, 2, 0, "n"),
+])
+def test_spec_rejects_non_int_settings(n, density, seed, field):
+    # True used to build seed 1's graph under the label "_sTrue", and 10.0
+    # raised a bare TypeError from the generator.
+    for family in ("regular", "scale_free"):
+        with pytest.raises(GeneratorError, match=f"{field}: .* is not an int"):
+            GeneratorSpec(family, n, density, seed)
+
+
 def test_spec_labels():
     spec = GeneratorSpec("regular", 100, 3, 2)
     assert spec.label() == "regular_n100_d3_s2"

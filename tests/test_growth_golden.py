@@ -149,7 +149,7 @@ ENGINE_WORK = {
     "scale_free_n1000_d5/naive/0": (1841, 725299),
     "scale_free_n1000_d5/bm+/0": (2642, 1407269),
     "scale_free_n1000_d5/cactus+/0": (1121, 547876),
-    "two_clusters/naive/0": (439, 111481),
+    "two_clusters/naive/0": (440, 111628),
     "two_clusters/bm+/0": (523, 169238),
     "two_clusters/cactus+/0": (474, 181818),
 }

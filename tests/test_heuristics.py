@@ -58,11 +58,13 @@ def test_grow_maximal_k33(k33):
 
 
 def test_grow_maximal_runs_engine_once_per_test(monkeypatch, k5, k33):
-    # An edge that bridges two components, that no planar graph could hold,
-    # whose ends lie within one piece of its component's kernel or beside
-    # one degree-3 kernel vertex, or that an earlier reject settled, is
-    # decided without the engine; every other edge costs exactly one engine
-    # call.
+    # Growth stops once the kept set has 3n - 6 edges.  Before that, an edge
+    # whose ends lie within one piece of its component's kernel (a bridge
+    # into a part that reduced away entirely among them) or beside one
+    # degree-3 kernel vertex, or that an earlier reject settled, is decided
+    # without the engine; every other edge costs exactly one engine call,
+    # a bridge between two kernel parts and an edge past its component's
+    # Euler bound included.
     # The benchmark counts growth tests by these calls.
     tested, verdicts, _ = watch_growth(monkeypatch)
     for seed in range(8):
@@ -75,13 +77,32 @@ def test_grow_maximal_runs_engine_once_per_test(monkeypatch, k5, k33):
         assert len(grow_maximal(k33, frozenset(), seed)) == 8
         assert len(tested) == 1 and verdicts == [False]
         # K5: four bridges, then five accepts reach 3n - 6 = 9 edges, the
-        # first three against an empty kernel; the Euler bound drops the
-        # last edge untested.
+        # first three against an empty kernel; growth then stops, and the
+        # last edge is never tried.
         tested.clear()
         verdicts.clear()
         assert len(grow_maximal(k5, frozenset(), seed)) == 9
         assert len(tested) == len(verdicts) <= 2
         assert all(verdicts)
+    # Two K4s joined by 0-4, started from both: the bridge joins two kernel
+    # parts, so it is the one engine run, and is accepted.
+    k4s = [(a + o, b + o) for o in (0, 4) for a, b in itertools.combinations(range(4), 2)]
+    g = Graph(8, tuple(k4s + [(0, 4)]))
+    # An octahedron start (12 = 3 * 6 - 6 edges) plus its diagonal 0-5, beside
+    # the path 6-7-8: the diagonal breaks its component's Euler bound, and
+    # the engine rejects it at once; the path's edges are bridges.
+    octahedron = [e for e in itertools.combinations(range(6), 2)
+                  if e not in ((0, 5), (1, 4), (2, 3))]
+    h = Graph(9, tuple(octahedron + [(0, 5), (6, 7), (7, 8)]))
+    for seed in range(4):
+        tested.clear()
+        verdicts.clear()
+        assert grow_maximal(g, frozenset(range(12)), seed) == g.all_edges()
+        assert tested == [(0, 4)] and verdicts == [True]
+        tested.clear()
+        verdicts.clear()
+        assert grow_maximal(h, frozenset(range(12)), seed) == h.all_edges() - {12}
+        assert tested == [(0, 5)] and verdicts == [False]
     # K4 with 0-1 subdivided by 4 and 5, plus the candidate 5-2: it changes
     # the kernel, but 5's kernel edge 0-1 and 2 share the degree-3 kernel
     # neighbours 0 and 1, so the wedge rule keeps it with no engine run.
@@ -259,11 +280,16 @@ def test_naive_reports_the_first_seed_of_the_largest_growth():
     assert r.kept == grow_maximal(g, frozenset(), r.seed)
 
 
-@pytest.mark.parametrize("restarts", [0, -3])
+@pytest.mark.parametrize("restarts", [0, -3, 2.5, True])
 def test_naive_refuses_restarts_below_one(k5, restarts):
-    # run_algorithm checks `restarts` for every label, not only naive's.
+    # run_algorithm checks `restarts` for every label, not only naive's; 2.5
+    # used to raise a bare TypeError, and True ran one start.
+    if type(restarts) is int:
+        message = f"restarts must be >= 1, got {restarts}"
+    else:
+        message = f"restarts: {restarts!r} is not an int"
     for name in ALGORITHMS:
-        with pytest.raises(ValueError, match=f"restarts must be >= 1, got {restarts}"):
+        with pytest.raises(ValueError, match=message):
             run_algorithm(k5, name, 0, restarts)
 
 
