@@ -31,7 +31,7 @@ from .bench import (
 from .exact import check_time_limit, exact_skewness, export_ilp
 from .generate import GeneratorSpec
 from .graphio import detect_format, make_dir, read_graph, write_graph, write_subgraph, write_text
-from .heuristics import ALGORITHMS, run_algorithm
+from .heuristics import ALGORITHMS, check_int, run_algorithm
 from .planarize import insert_edges_fixed
 
 
@@ -154,8 +154,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 
 def _cmd_planarize(args: argparse.Namespace) -> int:
     g = read_graph(args.instance)
-    if args.restarts < 1:  # the settings, then --out, before the work
-        raise ValueError(f"restarts must be >= 1, got {args.restarts}")
+    check_int(args.restarts, "restarts", 1)  # the settings, then --out, before the work
     if args.out:
         detect_format(args.out)
     sub = run_algorithm(g, args.algorithm, args.seed, args.restarts)

@@ -542,8 +542,8 @@ def test_cli_run_format_overrides_extension(tmp_path):
                                           ("restarts", 2.5), ("restarts", True),
                                           ("workers", 2.5), ("workers", True)])
 def test_suite_config_rejects_invalid_settings(field, value):
-    # restarts=2.5 used to turn every naive cell into an error record, and
-    # workers=2.5 let up to three workers start.
+    # Unchecked, restarts=2.5 turns every naive cell into an error record,
+    # and workers=2.5 lets up to three workers start.
     with pytest.raises(ValueError, match=field):
         SuiteConfig(**{"instances": (k5_ref(),), "algorithms": ("naive",), "seeds": (0,),
                        field: value})

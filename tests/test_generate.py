@@ -109,8 +109,8 @@ def test_spec_rejects_negative_seed():
     (10, 2.0, 0, "density"), (10.0, 2, 0, "n"), (False, 2, 0, "n"),
 ])
 def test_spec_rejects_non_int_settings(n, density, seed, field):
-    # True used to build seed 1's graph under the label "_sTrue", and 10.0
-    # raised a bare TypeError from the generator.
+    # Unchecked, True builds seed 1's graph under the label "_sTrue", and
+    # 10.0 raises a bare TypeError from the generator.
     for family in ("regular", "scale_free"):
         with pytest.raises(GeneratorError, match=f"{field}: .* is not an int"):
             GeneratorSpec(family, n, density, seed)

@@ -147,8 +147,8 @@ def test_grow_maximal_reject_settles_edges_in_its_closures(monkeypatch):
 
 
 def test_grow_maximal_keeps_a_triangulating_start_without_the_engine(monkeypatch):
-    # A start with 3n - 6 edges on all n vertices is one component at its
-    # Euler bound, so every other edge is dropped untested.
+    # A start with 3n - 6 edges on all n vertices is maximal planar, so
+    # growth stops before it tries any other edge.
     rng = random.Random(4)
     n = 30
     edges, faces = [(0, 1), (1, 2), (0, 2)], [(0, 1, 2)]
@@ -282,8 +282,8 @@ def test_naive_reports_the_first_seed_of_the_largest_growth():
 
 @pytest.mark.parametrize("restarts", [0, -3, 2.5, True])
 def test_naive_refuses_restarts_below_one(k5, restarts):
-    # run_algorithm checks `restarts` for every label, not only naive's; 2.5
-    # used to raise a bare TypeError, and True ran one start.
+    # run_algorithm checks `restarts` for every label, not only naive's.
+    # Unchecked, 2.5 raises a bare TypeError and True runs one start.
     if type(restarts) is int:
         message = f"restarts must be >= 1, got {restarts}"
     else:
