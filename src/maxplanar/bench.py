@@ -26,7 +26,7 @@ from typing import Callable, Iterable
 from .exact import ExactResult, check_time_limit, exact_skewness
 from .generate import GeneratorSpec
 from .graph import Graph
-from .graphio import make_dir, read_graph, read_text, write_text
+from .graphio import ascii_int, make_dir, read_graph, read_text, write_text
 from .heuristics import ALGORITHMS, cactus_plus, check_int, run_algorithm
 from .planarize import insert_edges_fixed
 
@@ -369,14 +369,14 @@ def read_records_csv(path: str | Path) -> list[BenchmarkRecord]:
             inst, set_label, n, m, algo, seed, kept, density, ms, status, cross = row
             if status not in ("ok", "timeout", "memory", "error"):
                 raise ValueError(f"unknown status {status!r}")
-            values = [int(x) for x in (n, m, seed, kept, cross or 0)] + [float(density), float(ms)]
-            if not all(0 <= x < math.inf for x in values):
+            n, m, seed, kept = (ascii_int(x) for x in (n, m, seed, kept))
+            crossings = ascii_int(cross) if cross else None
+            density, ms = float(density), float(ms)
+            if not all(0 <= x < math.inf for x in (n, m, seed, kept, crossings or 0, density, ms)):
                 raise ValueError("a count, seed, density or runtime is negative or not finite")
             records.append(BenchmarkRecord(
-                inst, set_label, int(n), int(m), algo, int(seed), int(kept),
-                float(density), float(ms), status, int(cross) if cross else None,
-            ))
-            cell = (set_label, inst, algo, int(seed))
+                inst, set_label, n, m, algo, seed, kept, density, ms, status, crossings))
+            cell = (set_label, inst, algo, seed)
             if cell in cells:
                 raise ValueError(f"repeated (set, instance, algorithm, seed) {cell!r}")
             cells.add(cell)

@@ -30,7 +30,8 @@ from .bench import (
 )
 from .exact import check_time_limit, exact_skewness, export_ilp
 from .generate import GeneratorSpec
-from .graphio import detect_format, make_dir, read_graph, write_graph, write_subgraph, write_text
+from .graphio import (ascii_int, detect_format, make_dir, read_graph, write_graph,
+                      write_subgraph, write_text)
 from .heuristics import ALGORITHMS, check_int, run_algorithm
 from .planarize import insert_edges_fixed
 
@@ -45,9 +46,9 @@ def _parse_seeds(text: str) -> list[int]:
                 continue
             if ":" in part:
                 lo, hi = part.split(":", 1)
-                out.extend(range(int(lo), int(hi)))
+                out.extend(range(ascii_int(lo), ascii_int(hi)))
             else:
-                out.append(int(part))
+                out.append(ascii_int(part))
     except ValueError as exc:
         raise ValueError(f"bad seeds {text!r}: {exc}") from exc
     if not out:
@@ -69,9 +70,9 @@ def _parse_gen_spec(text: str) -> GeneratorSpec:
             kv[key] = value
         return GeneratorSpec(
             family=family.strip().replace("-", "_"),
-            n=int(kv["n"]),
-            density=int(kv["density"]),
-            seed=int(kv.get("seed", 0)),
+            n=ascii_int(kv["n"]),
+            density=ascii_int(kv["density"]),
+            seed=ascii_int(kv.get("seed", "0")),
         )
     except (ValueError, KeyError) as exc:  # a KeyError is a missing n= or density=
         raise ValueError(f"bad generator spec {text!r}: {exc}") from exc
@@ -197,8 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate instances to .el files")
     p.add_argument("--family", choices=["regular", "scale-free", "scale_free"], required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--density", type=int, required=True)
+    p.add_argument("--n", type=ascii_int, required=True)
+    p.add_argument("--density", type=ascii_int, required=True)
     p.add_argument("--seeds", default="0", help="e.g. 0,1,2 or 0:20")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen)
@@ -213,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of naive,bm,bm+,cactus,cactus+,exact,planarize:<algo>")
     p.add_argument("--seeds", default="0")
     p.add_argument("--time-limit-ms", type=float, default=None)
-    p.add_argument("--restarts", type=int, default=10)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--restarts", type=ascii_int, default=10)
+    p.add_argument("--workers", type=ascii_int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_run)
 
@@ -232,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exact", help="exact skewness of one instance")
     p.add_argument("instance")
     p.add_argument("--time-limit-ms", type=float, default=60_000.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=ascii_int, default=0)
     p.add_argument("--no-incumbent", action="store_true")
     p.add_argument("--out", default=None, help="write kept edges as .el")
     p.set_defaults(func=_cmd_exact)
@@ -240,8 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("planarize", help="subgraph + fixed-embedding insertion")
     p.add_argument("instance")
     p.add_argument("--algorithm", choices=list(ALGORITHMS), default="cactus+")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=10)
+    p.add_argument("--seed", type=ascii_int, default=0)
+    p.add_argument("--restarts", type=ascii_int, default=10)
     p.add_argument("--order", choices=["random", "id"], default="random")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_planarize)
@@ -249,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-ilp", help="emit an LP model with the exact solver's constraint pool")
     p.add_argument("instance")
     p.add_argument("--time-limit-ms", type=float, default=5_000.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=ascii_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_export_ilp)
 

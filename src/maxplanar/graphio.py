@@ -66,11 +66,11 @@ def make_dir(path: str | Path) -> Path:
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
-def _decimal(tok: str) -> int:
+def ascii_int(tok: str) -> int:
     """An ASCII decimal integer; `int` alone also takes `1_0` and non-ASCII
-    digits, which no graph file means."""
+    digits, which no graph file, records CSV or command line means."""
     if not _DECIMAL.fullmatch(tok):
-        raise ValueError(tok)
+        raise ValueError(f"invalid literal for an ASCII decimal integer: {tok!r}")
     return int(tok)
 
 
@@ -97,7 +97,7 @@ def _read_edge_list(path: str | Path) -> Graph:
             if len(parts) != 1:
                 raise ParseError(path, lineno, "expected a single vertex count")
             try:
-                n = _decimal(parts[0])
+                n = ascii_int(parts[0])
             except ValueError:
                 raise ParseError(path, lineno, f"bad vertex count {parts[0]!r}")
             if n < 0:
@@ -106,7 +106,7 @@ def _read_edge_list(path: str | Path) -> Graph:
         if len(parts) != 2:
             raise ParseError(path, lineno, f"expected 'u v', got {line!r}")
         try:
-            a, b = _decimal(parts[0]), _decimal(parts[1])
+            a, b = ascii_int(parts[0]), ascii_int(parts[1])
         except ValueError:
             raise ParseError(path, lineno, f"non-integer endpoint in {line!r}")
         if a == b:
@@ -154,7 +154,7 @@ def _read_gml(path: str | Path) -> Graph:
             raise ParseError(path, tokens[again[0]][1], f"repeated {what}")
         tok, line = tokens[first]
         try:
-            return _decimal(tok)
+            return ascii_int(tok)
         except ValueError:
             raise ParseError(path, line, f"expected integer {what}, got {tok!r}")
 

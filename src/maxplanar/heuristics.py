@@ -3,8 +3,8 @@ A start set -- empty (`naive`), one skip-mode pass (`bm`) or a triangular
 cactus (`cactus`) -- is grown to maximality for `naive`, `bm+` and `cactus+`.
 
 Growth runs the planarity engine on the planarity kernel of a candidate's
-component of the input graph plus the edge, and only when no cheaper rule
-settles the verdict; see `grow_maximal`.
+kept part plus the edge, and only when no cheaper rule settles the verdict;
+see `grow_maximal`.
 
 All operations are pure in (graph, seed): identical inputs give identical
 kept-edge sets.  Runtime is measured around the algorithm itself, excluding
@@ -58,31 +58,22 @@ def grow_maximal(g: Graph, start: Iterable[int], seed: int) -> EdgeSet:
     lost, so an edge rejected earlier would be rejected against any superset.
 
     Growth stops once the kept set has 3n - 6 edges (n >= 3), as it is then
-    maximal planar.  Until then, each candidate meets the planarity kernel of
-    the kept edges in its component of g (trees peeled, degree-2 chains
-    suppressed, parallel edges merged): one kernel per component of g, built
-    from the start edges in it and kept in place as every kept edge is added
-    (`PlanarityKernel.add`), so kernels never merge.  Three rules, proved in
-    the `planarity._kernel` docstring, spare the engine: an edge within one
-    piece of the kernel is kept (so is a bridge into a part that reduced away
-    entirely), and so is one whose ends' kernel locations share a kernel
-    neighbour of degree 3 (`PlanarityKernel.shares_a_wedge`); an engine reject
-    drops, each at its turn, every edge of g between the closures of the
-    rejected ends' kernel locations (`PlanarityKernel.closure`), as each such
-    edge's plus-edge graph has the rejected one as a minor, now and after any
-    growth.  Every other edge costs one engine run on the kernel plus the edge;
-    the engine rejects one past its component's Euler bound before any search.
+    maximal planar.  Until then, each candidate meets one planarity kernel of
+    the kept edges (trees peeled, degree-2 chains suppressed, parallel edges
+    merged), kept in place as each edge is kept (`PlanarityKernel.add`).
+    Four rules, proved in the `planarity._kernel` docstring, spare the engine:
+    a bridge is kept, and so is an edge within one piece of the kernel, or one
+    whose ends' locations share a kernel neighbour of degree 3
+    (`PlanarityKernel.shares_a_wedge`); an engine reject drops, each at its
+    turn, every edge of g between the closures of the rejected ends'
+    locations (`PlanarityKernel.closure`), as each such edge's plus-edge graph
+    has the rejected one as a minor, now and after any growth.  Every other
+    edge costs one engine run on the kernel of its kept part plus the edge,
+    rejected before any search when past the part's Euler bound.
     """
     start = g.check_edge_set(start)
     n = g.vertex_count
-    comps = DisjointSets(n)  # the components of g
-    for a, b in g.edges:
-        comps.union(a, b)
-    own = {comps.find(a): [] for a, _ in g.edges}  # per component of g: its start edges
-    for eid in start:
-        a, b = g.edges[eid]
-        own[comps.find(a)].append((a, b))
-    kernels = {r: PlanarityKernel(edges) for r, edges in own.items()}
+    kernel = PlanarityKernel(g.edges[e] for e in start)
     if start and not is_planar(g, start):
         raise NonPlanarStartError("starting edge set is not planar")
     kept = set(start)
@@ -90,7 +81,7 @@ def grow_maximal(g: Graph, start: Iterable[int], seed: int) -> EdgeSet:
     rng = random.Random(seed)
     rng.shuffle(rest)
 
-    # Edges a rejected test has shown non-planar against every later component.
+    # Edges a rejected test has shown non-planar against every later kept set.
     settled: set[int] = set()
     adj = adjacency(n, g.edges)
     for eid in rest:
@@ -99,12 +90,11 @@ def grow_maximal(g: Graph, start: Iterable[int], seed: int) -> EdgeSet:
         if eid in settled:
             continue
         a, b = g.edges[eid]
-        kernel = kernels[comps.find(a)]
-        # None: the edge fits in a face at a degree-3 kernel vertex, or lies
-        # within one piece of the planar component.
+        # None: the edge fits in a face at a degree-3 kernel vertex, lies
+        # within one piece of the planar kept graph, or is a bridge of it.
         plus = None if kernel.shares_a_wedge(a, b) else kernel.plus_edge(a, b)
         if plus is not None and not edge_addition_run(*plus)[0]:
-            # Non-planar with this component and every one it grows into.
+            # Non-planar with this kept part and every one it grows into.
             ends = set(kernel.closure(b))
             settled.update(e for u in kernel.closure(a) for w, e in adj[u] if w in ends)
             continue

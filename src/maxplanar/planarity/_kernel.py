@@ -8,8 +8,8 @@ graph), planar exactly when the input is.
 
 Every removed vertex is also *located* in the kernel: at the kernel vertex
 its pendant part hangs from, or inside the kernel edge whose series-parallel
-piece it was suppressed or merged into, or nowhere when its whole component
-reduced away.  That makes one reduction serve every edge later tried
+piece it was suppressed or merged into, or off the kernel when its whole
+component reduced away.  That makes one reduction serve every edge later tried
 against the same graph: the graph plus an edge (a, b) is planar exactly
 when the kernel plus an edge between the locations of a and b is, an edge
 location being a new vertex that subdivides it.  When both ends fall on one
@@ -18,6 +18,13 @@ kernel edge, the edge lies within one piece and its terminals, which with a
 virtual terminal edge have no K4 minor.  One edge more keeps that planar
 (K5 - e and K3,3 - e have K4 minors), and its 2-sum with a planar kernel is
 planar: the verdict stays, though the kernel may grow.
+
+No reduction disconnects what remains, so each connected part of the kernel
+is the kernel of one component of the input.  An edge between two parts, a
+vertex off the kernel counting as a part of its own, is a bridge, and keeps
+a planar graph planar: embed each side with its end on the outer face.
+Within one part, that part's kernel plus the edge decides the verdict once
+the other parts are planar.
 
 A planar graph also stays planar under an edge between locations that
 share a kernel neighbour x of degree 3, where the neighbours of a kernel
@@ -56,7 +63,7 @@ class PlanarityKernel:
     ascending order of the surviving input ids.
     """
 
-    __slots__ = ("_adj", "_nbrs", "_fwd", "_members", "_view")
+    __slots__ = ("_adj", "_nbrs", "_fwd", "_members", "_parts")
 
     def __init__(self, edges: Iterable[tuple[int, int]]) -> None:
         self._adj: dict[int, set[int]] = {}  # the input graph
@@ -68,11 +75,11 @@ class PlanarityKernel:
         self._fwd: dict[object, object] = {}
         # Per location or vertex not yet removed: the removed vertices there.
         self._members: dict[object, list[int]] = {}
-        self._view: tuple | None = None  # (index, edges), built at need
+        self._parts: dict[int, tuple] = {}  # per kernel vertex: its part's (index, edges)
         self.add(edges)
 
     n = property(lambda self: len(self._nbrs))
-    edges = property(lambda self: self._compact()[1])
+    edges = property(lambda self: self._compact(self._nbrs)[1])
 
     def add(self, edges: Iterable[tuple[int, int]]) -> None:
         """Make this the kernel of the input graph plus `edges`: put back the
@@ -154,16 +161,23 @@ class PlanarityKernel:
                     big, part = part, big
                 big += part
             members[to] = big
-        self._view = None
+        self._parts = {}
 
-    def _compact(self) -> tuple[dict[int, int], list[tuple[int, int]]]:
-        """The kernel on compact ids: (index, edges)."""
-        if self._view is None:
-            nbrs = self._nbrs
-            index = {v: i for i, v in enumerate(sorted(nbrs))}
-            self._view = index, [(index[a], index[b]) for a in index
-                                 for b in sorted(nbrs[a]) if a < b]
-        return self._view
+    def _compact(self, verts: Iterable[int]) -> tuple[dict[int, int], list[tuple[int, int]]]:
+        """The kernel on `verts`, a union of its parts, on compact ids: (index, edges)."""
+        index = {v: i for i, v in enumerate(sorted(verts))}
+        return index, [(index[a], index[b]) for a in index for b in sorted(self._nbrs[a]) if a < b]
+
+    def _part(self, v: int) -> tuple[dict[int, int], list[tuple[int, int]]]:
+        """The connected part of the kernel at kernel vertex v, compacted."""
+        if v not in self._parts:
+            part, todo = {v}, [v]
+            for u in todo:  # todo grows as it is read
+                more = self._nbrs[u] - part
+                part |= more
+                todo += more
+            self._parts.update(dict.fromkeys(part, self._compact(part)))
+        return self._parts[v]
 
     def _locate(self, v: int) -> object:
         """Where input vertex v lies: a kernel vertex, a kernel edge, or the
@@ -180,23 +194,14 @@ class PlanarityKernel:
         return t
 
     def _widens_a_piece(self, la: object, lb: object) -> bool:
-        """Whether an edge between two locations lies within one piece that
-        reduces away (a pendant or series-parallel piece with its terminals,
-        or a whole component), so that a planar graph stays planar.  This is
-        growth's only bridge rule: a bridge into a part that reduced away
-        entirely, or to a vertex new to the kernel, lies within one such
-        piece; a bridge between two kernel parts goes to the engine."""
-        if la == lb:
-            return True
+        """Whether an edge between two locations on the kernel lies within one
+        piece that reduces away (a pendant or series-parallel piece with its
+        terminals), so that a planar graph stays planar."""
         if type(la) is tuple:
             la, lb = lb, la
-        if type(la) is tuple:
-            return False  # two different kernel edges
-        # An int location off the kernel: that end's component reduced away.
-        nbrs = self._nbrs
         if type(lb) is tuple:
-            return la in lb or la not in nbrs
-        return la not in nbrs or lb not in nbrs or lb in nbrs[la]
+            return la == lb or la in lb  # a kernel edge is no end of another
+        return la == lb or lb in self._nbrs[la]
 
     def shares_a_wedge(self, a: int, b: int) -> bool:
         """Whether the locations of input vertices a and b share a kernel
@@ -211,14 +216,18 @@ class PlanarityKernel:
         return any(len(nbrs[x]) == 3 for x in around_a if x in around_b)
 
     def plus_edge(self, a: int, b: int) -> tuple[int, list[tuple[int, int]]] | None:
-        """Kernel (n, edges) of the input graph plus the edge (a, b), where a
-        and b are input vertices; the subdividing vertices get the ids n and
-        n + 1.  None when the edge lies within one piece, where a planar
-        input graph stays planar; the kernel itself may still grow."""
+        """Kernel (n, edges) of the part of the input graph at the input
+        vertices a and b, plus the edge (a, b); the subdividing vertices get
+        the ids n and n + 1.  None when the edge joins two parts, a vertex off
+        the kernel counting as one, or lies within one piece: a planar input
+        graph stays planar, though the kernel may grow."""
         la, lb = self._locate(a), self._locate(b)
-        if self._widens_a_piece(la, lb):
+        va, vb = (loc[0] if type(loc) is tuple else loc for loc in (la, lb))
+        if va not in self._nbrs or vb not in self._nbrs or self._widens_a_piece(la, lb):
             return None
-        index, edges = self._compact()
+        index, edges = self._part(va)
+        if vb not in index:
+            return None  # a bridge between two kernel parts
         n, edges = len(index), edges.copy()
         ends = []
         for loc in (la, lb):

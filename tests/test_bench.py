@@ -292,12 +292,19 @@ def test_cli_aggregate_reads_instance_ids_with_commas(tmp_path):
     "i,s,10,20,a,0,9,0.900000,1.000,ok,-3",
     # Random(-7) draws what Random(7) draws: seeds -7 and 7 are one run.
     "i,s,10,20,a,-7,9,0.900000,1.000,ok,",
+    # Read by `int`, these were 10, 10, 9 and 3, although the graph readers
+    # refuse such integers.
+    "i,s,1_0,20,a,0,9,0.900000,1.000,ok,",
+    "i,s,10,20,a,1_0,9,0.900000,1.000,ok,",
+    "i,s,10,20,a,0,\u0669,0.900000,1.000,ok,",
+    "i,s,10,20,a,0,9,0.900000,1.000,ok,\uff13",
 ], ids=["comma-in-id", "density-nan", "runtime-inf", "negative-n", "negative-kept",
-        "negative-crossings", "negative-seed"])
+        "negative-crossings", "negative-seed", "underscore-n", "underscore-seed",
+        "arabic-indic-kept", "fullwidth-crossings"])
 def test_cli_aggregate_reports_malformed_row(tmp_path, capsys, row):
     bad = tmp_path / "bad.csv"
     emit_records_csv([rec(instance="j")], bad)  # a cell no bad row repeats
-    with open(bad, "a") as fh:
+    with open(bad, "a", encoding="utf-8") as fh:
         fh.write(row + "\n")
     with pytest.raises(ValueError, match=r"bad\.csv:3: "):
         read_records_csv(bad)
@@ -654,13 +661,19 @@ def test_cli_rejects_invalid_settings_up_front(tmp_path, capsys, argv):
      "bad generator spec 'regular:n=100,density=3,n=200': repeated key 'n'"),
     (["--algorithms", "cactus", "--gen", "regular:n=20,density=2,seed=-1"],
      "bad generator spec 'regular:n=20,density=2,seed=-1': seed must be >= 0, got -1"),
+    (["--algorithms", "cactus", "--seeds", "1_0"], "bad seeds '1_0': invalid literal"),
+    (["--algorithms", "cactus", "--gen", "regular:n=2_0,density=2"],
+     "bad generator spec 'regular:n=2_0,density=2': invalid literal"),
+    (["--algorithms", "cactus", "--restarts", "1_0"],
+     "argument --restarts: invalid ascii_int value: '1_0'"),
 ], ids=["label", "family", "no-algorithms", "seeds", "gen-unknown-key", "gen-repeated-key",
-        "gen-negative-seed"])
+        "gen-negative-seed", "seeds-underscore", "gen-underscore", "restarts-underscore"])
 def test_cli_run_refuses_bad_label_and_family(tmp_path, capsys, argv, message):
     # The label and family used to pass the CLI and come back as `error`
     # records (exit 2), the family one with n = m = 0; `--algorithms ,` ran
     # nothing and exited 0; a bad `--seeds` was reported without its text; a
     # misspelt --gen key ran with its default, a repeated one with its last value.
+    # Integers read by `int` took `1_0` as 10: `--seeds 1_0` ran seed 10.
     write_graph(complete_graph(5), tmp_path / "k5.el")
     out = tmp_path / "rec.csv"
     argv = ["run", "--instances", str(tmp_path / "k5.el")] + argv + ["--out", str(out)]

@@ -7,12 +7,16 @@ restarts, `bm+`, `cactus+`) and for `grow_maximal` from a random planar
 start, and, with one naive restart, on regular and scale-free n=1000, d=5,
 where most growth tests reject; so that any change to how a growth test is
 computed must give the same verdicts.  Scale-free n=3000, d=5 `cactus+`, where
-an accept touches the largest pieces of its component's kernel, is pinned by a
+an accept touches the largest pieces of the kept kernel, is pinned by a
 sha256 of its kept set.  `ENGINE_WORK` pins, on the `disconnected` graph, at
 n=1000 and on two clusters joined by one edge, the engine runs per cell and the
 summed size of the graphs they run on, so that a change to how growth keeps its
-kernels must not make the engine do more.  Regenerate the JSON only when the seeded order itself is meant to
-change:
+kernel must not make the engine do more.  networkx checks the n=1000 kept sets
+on its own: each is planar, and adding any of a sample of the edges it left
+out makes it non-planar.
+
+Regenerate the JSON only when the seeded order itself is meant to change; the
+command prints the JSON on stdout and the `ENGINE_WORK` table on stderr:
 
     PYTHONPATH=src python tests/test_growth_golden.py > tests/growth_golden.json
 """
@@ -22,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -124,8 +129,27 @@ def test_growth_golden_at_scale(name):
 
 
 @pytest.mark.parametrize("name", list(SCALE_GRAPHS))
+def test_growth_golden_at_scale_agrees_with_networkx(name):
+    # The goldens above are the code's own output; networkx shares no code
+    # with it.  Each kept set must be planar, and adding any of a seeded
+    # sample of 100 edges it left out must make it non-planar.
+    nx = pytest.importorskip("networkx")
+    golden = json.loads(GOLDEN_PATH.read_text())
+    g = SCALE_GRAPHS[name]()
+    for algo in ALGORITHMS:
+        kept = golden[f"{name}/{algo}/0"]
+        h = nx.Graph(g.edges[e] for e in kept)
+        assert nx.check_planarity(h)[0]
+        rejected = sorted(set(range(len(g.edges))) - set(kept))
+        for eid in random.Random(0).sample(rejected, 100):
+            h.add_edge(*g.edges[eid])
+            assert not nx.check_planarity(h)[0], (algo, eid)
+            h.remove_edge(*g.edges[eid])
+
+
+@pytest.mark.parametrize("name", list(SCALE_GRAPHS))
 def test_kept_kernels_are_fresh_ones_at_scale(name, monkeypatch):
-    # After every accept, each component's kept kernel equals a fresh one.
+    # After every accept, the kept kernel equals a fresh one.
     check = FreshKernelCheck(monkeypatch)
     golden = json.loads(GOLDEN_PATH.read_text())
     assert compute_scale_cells({name}) == {k: v for k, v in golden.items() if k.split("/")[0] == name}
@@ -149,20 +173,26 @@ ENGINE_WORK = {
     "scale_free_n1000_d5/naive/0": (1841, 725299),
     "scale_free_n1000_d5/bm+/0": (2642, 1407269),
     "scale_free_n1000_d5/cactus+/0": (1121, 547876),
-    "two_clusters/naive/0": (440, 111628),
+    "two_clusters/naive/0": (439, 108763),
     "two_clusters/bm+/0": (523, 169238),
     "two_clusters/cactus+/0": (474, 181818),
 }
 
 
-@pytest.mark.parametrize("name", ["disconnected", *WORK_GRAPHS])
-def test_growth_engine_work(name, monkeypatch):
+def engine_work(names, monkeypatch) -> dict[str, tuple[int, int]]:
+    """The `ENGINE_WORK` cells of the graphs in `names`, as measured now."""
     _, _, sizes = watch_growth(monkeypatch)
     got = {}
-    for key, run in [*golden_runs({name}), *scale_runs({name}, WORK_GRAPHS)]:
+    for key, run in [*golden_runs(names), *scale_runs(names, WORK_GRAPHS)]:
         sizes.clear()
         run()
         got[key] = len(sizes), sum(sizes)
+    return got
+
+
+@pytest.mark.parametrize("name", ["disconnected", *WORK_GRAPHS])
+def test_growth_engine_work(name, monkeypatch):
+    got = engine_work({name}, monkeypatch)
     assert got == {k: v for k, v in ENGINE_WORK.items() if k.split("/")[0] == name}
 
 
@@ -182,3 +212,7 @@ if __name__ == "__main__":
     cells = compute_cells() | compute_scale_cells()
     print("{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v, separators=(',', ':'))}"
                             for k, v in cells.items()) + "\n}")
+    with pytest.MonkeyPatch.context() as mp:
+        work = engine_work(["disconnected", *WORK_GRAPHS], mp)
+    print("ENGINE_WORK = {\n" + "".join(f"    {json.dumps(k)}: {v},\n" for k, v in work.items()) + "}",
+          file=sys.stderr)

@@ -93,22 +93,44 @@ def test_kernel_verdict_matches_networkx(drawn):
     assert edge_addition_run(k.n, k.edges)[0] == _nx_planar(edges)
 
 
+K4 = list(itertools.combinations(range(4), 2))
+TWO_K4S = K4 + [(a + 4, b + 4) for a, b in K4]
+K4_AND_PATH = K4 + [(4, 5), (5, 6), (6, 7)]
+
+
 @given(edge_lists())
+@example((TWO_K4S, random.Random(0)))  # a candidate joins two kernel parts
+@example((K4_AND_PATH, random.Random(0)))  # or a kernel part and one reduced away
+@example((K4, random.Random(0)))  # or a kernel part and a new vertex
 @settings(max_examples=200, deadline=None)
 def test_kernel_plus_edge_verdict_matches_networkx(drawn):
+    # The plus-edge graph is the kernel of the candidate's part only: it is
+    # connected, and its verdict is that of the candidate's component plus
+    # the edge.  A bridge gets None, as does an edge within one piece.
     edges, rng = drawn
     k = PlanarityKernel(edges)
     h = nx.Graph(edges)
     verts = sorted(h.nodes)
-    for _ in range(8):
-        a, b = rng.sample(verts, 2)
+    new = verts[-1] + 1  # a vertex new to the input
+    for a, b in [*(rng.sample(verts, 2) for _ in range(8)), (rng.choice(verts), new)]:
         if h.has_edge(a, b):
             continue
-        # None means the kernel as it is, whose verdict is the input's.
-        n, plus = k.plus_edge(a, b) or (k.n, k.edges)
+        plus = k.plus_edge(a, b)
+        bridge = b == new or not nx.has_path(h, a, b)
         h.add_edge(a, b)
-        assert edge_addition_run(n, plus)[0] == nx.check_planarity(h)[0]
+        if plus is None:
+            # The kernel as it is, whose verdict is the input's.
+            assert edge_addition_run(k.n, k.edges)[0] == nx.check_planarity(h)[0]
+        else:
+            assert not bridge
+            n, plus = plus
+            g = nx.Graph(plus)
+            assert sorted(g) == list(range(n)) and nx.is_connected(g)
+            part = h.subgraph(nx.node_connected_component(h, a))
+            assert edge_addition_run(n, plus)[0] == nx.check_planarity(part)[0]
         h.remove_edge(a, b)
+        if b == new:
+            h.remove_node(b)
 
 
 def test_kernel_of_empty_graph():
@@ -209,7 +231,6 @@ def test_kernel_kept_in_place_matches_a_fresh_one(drawn, batch):
 TRIANGLE = [(0, 1), (1, 2), (0, 2)]
 PATH = [(0, 1), (1, 2), (2, 3)]
 THETA = [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)]
-K4 = list(itertools.combinations(range(4), 2))
 
 
 @given(edge_lists(), edge_lists())
@@ -219,9 +240,9 @@ K4 = list(itertools.combinations(range(4), 2))
 @example((K4, random.Random(3)), (THETA, random.Random(3)))
 @settings(max_examples=150, deadline=None)
 def test_kernel_joined_by_a_bridge_matches_a_fresh_one(first, second):
-    # Growth keeps one kernel per component of its host graph, so a bridge
-    # between two kept components is one edge added to a kernel that holds
-    # both sides.  Either side may have reduced away: two such parts, or one
+    # Growth keeps one kernel for all of its host graph, so a bridge between
+    # two kept components is one edge added to a kernel that holds both
+    # sides.  Either side may have reduced away: two such parts, or one
     # and a vertex new to the input, are joined without being put back.
     # Fed the bridge and then the other side's edges, the kernel must also
     # come out fresh.
