@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import signal
 import sys
 from pathlib import Path
 
@@ -10,6 +12,32 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from maxplanar.graph import Graph
+
+
+def leftover_child() -> str | None:
+    """A child process of this one, running or not yet reaped; None when there is none.
+
+    An exited child is reaped by the look.
+    """
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return None
+    return "a running child" if pid == 0 else f"the unreaped child {pid}"
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_children():
+    """Fail a test that leaves any child process behind, then kill and reap them all."""
+    yield
+    left = leftover_child()
+    if left is None:
+        return
+    for path in Path("/proc/self/task").glob("*/children"):  # Linux lists children here
+        for pid in map(int, path.read_text().split()):
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    pytest.fail(f"the test left {left} behind")
 
 
 def complete_graph(n: int) -> Graph:

@@ -3,7 +3,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import multiprocessing as mp
 import os
 import re
 import signal
@@ -11,7 +10,7 @@ import time
 
 import pytest
 
-from conftest import complete_graph
+from conftest import complete_graph, leftover_child
 from maxplanar import bench
 from maxplanar.bench import (
     BenchmarkRecord,
@@ -32,17 +31,6 @@ from maxplanar.graphio import read_graph, write_graph
 from maxplanar.heuristics import run_algorithm
 from maxplanar.planarity import is_planar
 from maxplanar.planarize import insert_edges_fixed
-
-
-@pytest.fixture(autouse=True)
-def no_leaked_workers():
-    yield
-    leaked = mp.active_children()
-    for proc in leaked:
-        proc.terminate()
-        proc.join()
-    if leaked:
-        pytest.fail(f"worker processes left running: {leaked}")
 
 
 def k5_ref() -> InstanceRef:
@@ -146,7 +134,7 @@ def test_suite_interrupt_stops_workers():
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
-    assert mp.active_children() == []
+    assert leftover_child() is None
 
 
 def test_run_cell_records_memory_error_while_loading(monkeypatch):
