@@ -2,24 +2,30 @@
 wall-clock timeouts, aggregate relative-to-best statistics, emit CSV and
 plot-ready series files.
 
-Each cell runs in its own worker process so that a kill deadline can
-terminate it; the parent blocks on the workers' pipes, where EOF without a
-record means that the worker died.  Records are sorted, so the output does
-not depend on scheduling.  Runtime is measured around the algorithm call
-inside the worker, excluding instance parsing or generation.
+Each cell runs in a worker process forked for it alone, so that a kill
+deadline can terminate it and its peak memory is its own.  The worker
+writes the instance size, then its record, down a pipe; the parent polls
+the pipes, where EOF without a record means that the worker died.  Records
+are sorted, so the output does not depend on scheduling.  Runtime is
+measured around the algorithm call inside the worker, excluding instance
+parsing or generation.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
+import itertools
 import math
-import multiprocessing as mp
 import os
+import pickle
+import select
+import signal
+import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
-from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -172,40 +178,43 @@ def run_cell(
         return _cell_record(cell, size, "error")
 
 
-def _cell_worker(conn, *args) -> None:
-    # The size goes first, so a cell killed later still reports its n and m.
-    conn.send(run_cell(*args, lambda n, m: conn.send((n, m))))
+def _run_worker(write_fd: int, *args) -> None:
+    """Run one cell in a forked worker: write the cell's size (n, m), then its
+    record, each pickled in one write, and leave by os._exit whatever happens."""
+    try:
+        def send(msg) -> None:  # a record is far below PIPE_BUF, so one write is whole
+            os.write(write_fd, pickle.dumps(msg))
+
+        # The size goes first, so a cell killed later still reports its n and m.
+        send(run_cell(*args, lambda n, m: send((n, m))))
+        os._exit(0)
+    finally:
+        os._exit(1)  # never return into the caller's stack, whatever was raised
 
 
 def run_suite(config: SuiteConfig) -> list[BenchmarkRecord]:
     """One record per (instance, algorithm, seed), sorted deterministically.
 
     An exception that stops the suite, such as KeyboardInterrupt, first
-    terminates and joins every running worker.
+    kills and reaps every running worker.
     """
-    cells = [
-        (ref, algo, seed)
-        for ref in config.instances
-        for algo in config.algorithms
-        for seed in config.seeds
-    ]
     workers = config.workers or os.cpu_count() or 1
-    ctx = mp.get_context("fork")
-    pending = list(reversed(cells))
-    running: dict = {}  # pipe -> [process, deadline, cell, started, (n, m)]
+    pending = list(itertools.product(config.instances, config.algorithms, config.seeds))[::-1]
+    running: dict = {}  # read fd -> [pid, deadline, cell, started, bytes read]
+    poller = select.poll()
     records: list[BenchmarkRecord] = []
-    limit_s = None if config.time_limit_ms is None else config.time_limit_ms / 1000.0
+    limit_s = math.inf if config.time_limit_ms is None else config.time_limit_ms / 1000.0
 
     def start(cell):
-        parent, child = ctx.Pipe(duplex=False)
-        args = (child, *cell, config.time_limit_ms, config.restarts)
-        proc = ctx.Process(target=_cell_worker, args=args)
-        proc.start()
-        child.close()  # so the pipe reads EOF once the worker exits
+        read_fd, write_fd = os.pipe()
+        sys.stdout.flush()  # else the worker could write out again what is buffered here
+        sys.stderr.flush()
+        pid = os.fork()
+        if pid == 0:
+            _run_worker(write_fd, *cell, config.time_limit_ms, config.restarts)
+        os.close(write_fd)  # so the pipe reads EOF once the worker exits
         now = time.monotonic()
-        if limit_s is None:
-            deadline = None
-        elif cell[1] == "exact":
+        if cell[1] == "exact":
             # An exact cell manages its own budget; give it headroom to
             # return the incumbent, still within the 2x envelope.
             deadline = now + limit_s * 1.9
@@ -213,45 +222,54 @@ def run_suite(config: SuiteConfig) -> list[BenchmarkRecord]:
             # Kill within 2x the limit; the floor absorbs process startup,
             # which dominates for sub-second limits.
             deadline = now + max(limit_s * 1.5, limit_s + 0.2)
-        running[parent] = [proc, deadline, cell, now, (0, 0)]
+        poller.register(read_fd, select.POLLIN)
+        running[read_fd] = [pid, deadline, cell, now, b""]
 
-    def finish(conn, rec=None):
-        proc, _, cell, _, size = running.pop(conn)
-        proc.join()
-        conn.close()
-        if rec is None:  # SIGKILL is what the kernel's OOM killer sends
-            rec = _cell_record(cell, size, "memory" if proc.exitcode == -9 else "error")
+    def finish(fd, timed_out_at=None):
+        pid, _, cell, started, data = running[fd]
+        if timed_out_at is not None:
+            os.kill(pid, signal.SIGTERM)
+        _, status = os.waitpid(pid, 0)
+        del running[fd]
+        poller.unregister(fd)
+        os.close(fd)
+        stream, messages = io.BytesIO(data), []
+        with contextlib.suppress(EOFError, pickle.UnpicklingError):  # a message cut by a kill
+            while stream.tell() < len(data):
+                messages.append(pickle.load(stream))
+        size = next((msg for msg in messages if isinstance(msg, tuple)), (0, 0))
+        rec = next((msg for msg in messages if isinstance(msg, BenchmarkRecord)), None)
+        if timed_out_at is not None:
+            rec = _cell_record(cell, size, "timeout", ms=(timed_out_at - started) * 1e3)
+        elif rec is None:  # SIGKILL is what the kernel's OOM killer sends
+            killed = os.waitstatus_to_exitcode(status) == -signal.SIGKILL
+            rec = _cell_record(cell, size, "memory" if killed else "error")
         records.append(rec)
 
     try:
         while pending or running:
             while pending and len(running) < workers:
                 start(pending.pop())
-            deadlines = [e[1] for e in running.values() if e[1] is not None]
+            deadline = min(e[1] for e in running.values())
             # At most an hour: poll() takes a C int of milliseconds, and the
-            # loop re-checks a far deadline anyway.
-            timeout = min(max(min(deadlines) - time.monotonic(), 0.0), 3600.0) if deadlines else None
-            ready = wait(list(running), timeout)
+            # loop re-checks a far or infinite deadline anyway.
+            ready = poller.poll(min(max(deadline - time.monotonic(), 0.0), 3600.0) * 1e3)
             now = time.monotonic()  # what is not ready by now came after any passed deadline
-            for conn in ready:
-                try:
-                    while conn.poll():
-                        msg = conn.recv()
-                        if isinstance(msg, BenchmarkRecord):
-                            finish(conn, msg)
-                            break
-                        running[conn][4] = msg
-                except EOFError:  # the worker exited without a record
-                    finish(conn)
-            for conn, (proc, deadline, cell, started, size) in list(running.items()):
-                if deadline is not None and now >= deadline:
-                    proc.terminate()
-                    finish(conn, _cell_record(cell, size, "timeout", ms=(now - started) * 1e3))
+            for fd, _ in ready:
+                chunk = os.read(fd, 1 << 16)
+                if chunk:
+                    running[fd][4] += chunk
+                else:  # EOF: the worker has exited
+                    finish(fd)
+            for fd, (_, deadline, *_) in list(running.items()):
+                if now >= deadline:
+                    finish(fd, now)
     finally:
-        for conn, (proc, *_) in running.items():
-            proc.terminate()
-            proc.join()
-            conn.close()
+        for fd, (pid, *_) in running.items():
+            with contextlib.suppress(OSError):  # already reaped, if stopped inside finish
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            os.close(fd)
 
     records.sort(key=lambda r: (r.set_label, r.instance, r.algorithm, r.seed))
     return records

@@ -6,6 +6,7 @@ import math
 import os
 import re
 import signal
+import sys
 import time
 
 import pytest
@@ -114,6 +115,44 @@ def test_suite_worker_exit_without_record_records_error(monkeypatch):
     config = SuiteConfig(instances=(k5_ref(),), algorithms=("bm",), seeds=(0,), workers=1)
     (rec,) = run_suite(config)
     assert (rec.status, rec.n, rec.m) == ("error", 7, 9)
+
+
+@pytest.mark.parametrize("escape", [SystemExit, KeyboardInterrupt])
+def test_suite_worker_never_returns_into_the_caller(monkeypatch, tmp_path, escape):
+    def raises(ref, algorithm, seed, time_limit_ms, restarts, on_size):
+        on_size(7, 9)
+        raise escape
+
+    monkeypatch.setattr(bench, "run_cell", raises)
+    config = SuiteConfig(instances=(k5_ref(),), algorithms=("bm", "cactus"), seeds=(0,),
+                         workers=2)
+    pid = os.getpid()
+    records = run_suite(config)
+    # A worker that returned from run_suite would write the marker too.
+    with open(tmp_path / "marker", "a") as fh:
+        fh.write(f"{os.getpid()}\n")
+    assert os.getpid() == pid
+    assert [(r.status, r.n, r.m) for r in records] == [("error", 7, 9)] * 2
+    assert (tmp_path / "marker").read_text() == f"{pid}\n"
+
+
+def test_suite_output_buffered_before_the_run_appears_once(monkeypatch, capfd):
+    real_run_cell = bench.run_cell
+
+    def flushes(*args):
+        sys.stdout.flush()  # a worker that writes sends what its copy of the buffer holds
+        return real_run_cell(*args)
+
+    monkeypatch.setattr(bench, "run_cell", flushes)
+    config = SuiteConfig(instances=(k5_ref(),), algorithms=("cactus",), seeds=(0,), workers=1)
+    # A buffered stdout on fd 1, as outside pytest: capfd's own writes through.
+    with io.TextIOWrapper(open(os.dup(1), "wb"), encoding="utf-8") as out, \
+            monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", out)
+        out.write("written before the suite")
+        (rec,) = run_suite(config)
+    assert rec.status == "ok"
+    assert capfd.readouterr().out.count("written before the suite") == 1
 
 
 def test_suite_interrupt_stops_workers():
