@@ -39,17 +39,19 @@ def detect_format(path: str | Path) -> str:
 
 
 def read_text(path: str | Path) -> str:
-    """The text of `path`; a path that cannot be read raises ValueError naming it."""
+    """`path` read as UTF-8; a path that cannot be read or decoded raises ValueError naming it."""
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text at byte offset {exc.start}") from exc
 
 
 def write_text(path: str | Path, text: str) -> None:
-    """Write `text` to `path`; a path that cannot be written raises ValueError naming it."""
+    """Write `text` to `path` in UTF-8; failure raises ValueError naming the path."""
     try:
-        Path(path).write_text(text)
+        Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"{path}: cannot write: {exc.strerror or exc}") from exc
 

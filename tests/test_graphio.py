@@ -1,15 +1,21 @@
 from __future__ import annotations
 
+import os
 import random
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import maxplanar
 from conftest import random_graph
+from maxplanar.bench import BenchmarkRecord, emit_records_csv
 from maxplanar.graph import Graph
-from maxplanar.graphio import ParseError, read_graph, write_graph, write_subgraph
+from maxplanar.graphio import ParseError, read_graph, read_text, write_graph, write_subgraph
 
 
 def test_edge_list_round_trip(tmp_path, k5):
@@ -199,3 +205,36 @@ def test_round_trip_property(data):
         text = path.read_text()
         write_graph(back, path)
         assert path.read_text() == text
+
+
+def test_read_text_names_path_and_offset_of_a_byte_not_utf8(tmp_path):
+    p = tmp_path / "bad.el"
+    p.write_bytes(b"3\n0 1\n\xc3\xa9 \xff\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: not UTF-8 text at byte offset 9$"):
+        read_text(p)
+    with pytest.raises(ValueError, match=r"byte offset 9"):
+        read_graph(p)
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    # Under the C locale Python's default text encoding is ASCII; files must
+    # still be read and written as UTF-8, and a bad byte named on one line.
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    emit_records_csv([BenchmarkRecord("\u00e9", "s", 5, 10, "bm", 0, 9, 1.8, 0.1, "ok")], good)
+    bad.write_bytes(good.read_bytes() + b"\xff\n")
+    src = str(Path(maxplanar.__file__).parents[1])
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def aggregate(records):
+        argv = [sys.executable, "-m", "maxplanar.cli", "aggregate",
+                "--records", str(records), "--out", str(tmp_path / "agg.csv")]
+        return subprocess.run(argv, env=env, capture_output=True, text=True, encoding="utf-8")
+
+    done = aggregate(good)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "s:10,bm,1,0," in read_text(tmp_path / "agg.csv")
+    done = aggregate(bad)
+    assert done.returncode == 1
+    offset = len(good.read_bytes())  # where the 0xff byte starts
+    assert done.stderr.splitlines() == [f"error: {bad}: not UTF-8 text at byte offset {offset}"]
