@@ -229,7 +229,7 @@ def run_suite(config: SuiteConfig) -> list[BenchmarkRecord]:
         pid, _, cell, started, data = running[fd]
         if timed_out_at is not None:
             os.kill(pid, signal.SIGTERM)
-        _, status = os.waitpid(pid, 0)
+        exit_code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         del running[fd]
         poller.unregister(fd)
         os.close(fd)
@@ -242,8 +242,7 @@ def run_suite(config: SuiteConfig) -> list[BenchmarkRecord]:
         if timed_out_at is not None:
             rec = _cell_record(cell, size, "timeout", ms=(timed_out_at - started) * 1e3)
         elif rec is None:  # SIGKILL is what the kernel's OOM killer sends
-            killed = os.waitstatus_to_exitcode(status) == -signal.SIGKILL
-            rec = _cell_record(cell, size, "memory" if killed else "error")
+            rec = _cell_record(cell, size, "memory" if exit_code == -signal.SIGKILL else "error")
         records.append(rec)
 
     try:

@@ -49,9 +49,10 @@ def read_text(path: str | Path) -> str:
 
 
 def write_text(path: str | Path, text: str) -> None:
-    """Write `text` to `path` in UTF-8; failure raises ValueError naming the path."""
+    """Write `text` to `path` in UTF-8, with a file name's undecodable bytes
+    as they came; failure raises ValueError naming the path."""
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        Path(path).write_text(text, encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise ValueError(f"{path}: cannot write: {exc.strerror or exc}") from exc
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import maxplanar
 from conftest import random_graph
-from maxplanar.bench import BenchmarkRecord, emit_records_csv
+from maxplanar.bench import BenchmarkRecord, emit_records_csv, read_records_csv
 from maxplanar.graph import Graph
 from maxplanar.graphio import ParseError, read_graph, read_text, write_graph, write_subgraph
 
@@ -226,15 +226,22 @@ def test_files_are_utf8_whatever_the_locale(tmp_path):
     env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
-    def aggregate(records):
-        argv = [sys.executable, "-m", "maxplanar.cli", "aggregate",
-                "--records", str(records), "--out", str(tmp_path / "agg.csv")]
+    def cli(*args):
+        argv = [sys.executable, "-m", "maxplanar.cli", *map(str, args)]
         return subprocess.run(argv, env=env, capture_output=True, text=True, encoding="utf-8")
 
-    done = aggregate(good)
+    done = cli("aggregate", "--records", good, "--out", tmp_path / "agg.csv")
     assert (done.returncode, done.stderr) == (0, "")
     assert "s:10,bm,1,0," in read_text(tmp_path / "agg.csv")
-    done = aggregate(bad)
+    done = cli("aggregate", "--records", bad, "--out", tmp_path / "agg.csv")
     assert done.returncode == 1
     offset = len(good.read_bytes())  # where the 0xff byte starts
     assert done.stderr.splitlines() == [f"error: {bad}: not UTF-8 text at byte offset {offset}"]
+    # The C locale decodes the UTF-8 file name with surrogate escapes; its
+    # instance id goes into the records as the name's own bytes.
+    name = tmp_path / os.fsdecode("\u00e9.el".encode("utf-8"))  # also when pytest runs under C
+    write_graph(Graph(3, ((0, 1), (1, 2))), name)
+    done = cli("run", "--instances", name, "--algorithms", "cactus",
+               "--workers", "1", "--out", tmp_path / "r.csv")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert [r.instance for r in read_records_csv(tmp_path / "r.csv")] == ["\u00e9"]
