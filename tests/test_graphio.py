@@ -228,7 +228,7 @@ def test_files_are_utf8_whatever_the_locale(tmp_path):
 
     def cli(*args):
         argv = [sys.executable, "-m", "maxplanar.cli", *map(str, args)]
-        return subprocess.run(argv, env=env, capture_output=True, text=True, encoding="utf-8")
+        return subprocess.run(argv, env=env, capture_output=True, encoding="utf-8")
 
     done = cli("aggregate", "--records", good, "--out", tmp_path / "agg.csv")
     assert (done.returncode, done.stderr) == (0, "")
