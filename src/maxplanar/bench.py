@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import gc
 import io
 import itertools
 import math
@@ -181,6 +182,10 @@ def run_cell(
 def _run_worker(write_fd: int, *args) -> None:
     """Run one cell in a forked worker: write the cell's size (n, m), then its
     record, each pickled in one write, and leave by os._exit whatever happens."""
+    # A collection here would walk the heap inherited from the parent and
+    # write to it, copying its pages: the cell's time would then depend on
+    # what the parent allocated before the fork.  Frozen objects are skipped.
+    gc.freeze()
     try:
         def send(msg) -> None:  # a record is far below PIPE_BUF, so one write is whole
             os.write(write_fd, pickle.dumps(msg))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import math
 import os
@@ -134,6 +135,20 @@ def test_suite_worker_never_returns_into_the_caller(monkeypatch, tmp_path, escap
     assert os.getpid() == pid
     assert [(r.status, r.n, r.m) for r in records] == [("error", 7, 9)] * 2
     assert (tmp_path / "marker").read_text() == f"{pid}\n"
+
+
+def test_suite_worker_freezes_the_inherited_heap(monkeypatch, tmp_path):
+    # Unfrozen, a collection in the worker walks and copies the parent's heap,
+    # so a cell's time depended on what the harness allocated before the fork.
+    def reports(ref, algorithm, seed, time_limit_ms, restarts, on_size):
+        (tmp_path / "freeze_count").write_text(str(gc.get_freeze_count()))
+        os._exit(0)
+
+    monkeypatch.setattr(bench, "run_cell", reports)
+    config = SuiteConfig(instances=(k5_ref(),), algorithms=("bm",), seeds=(0,), workers=1)
+    run_suite(config)
+    assert int((tmp_path / "freeze_count").read_text()) > 0
+    assert gc.get_freeze_count() == 0  # the harness's own collector is untouched
 
 
 def test_suite_output_buffered_before_the_run_appears_once(monkeypatch, capfd):
