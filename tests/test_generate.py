@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import statistics
 
 import pytest
@@ -36,6 +38,19 @@ def test_regular_two_regular_is_cycle_cover():
 def test_regular_deterministic():
     assert gen_regular(60, 4, 9).edges == gen_regular(60, 4, 9).edges
     assert gen_regular(60, 4, 9).edges != gen_regular(60, 4, 10).edges
+
+
+def test_regular_graphs_are_pinned():
+    # Every feasible (n, degree) with n < 40 and degree < 12, seeds 0-7: 2,432
+    # graphs, of which 980 reach the feasibility scan and 886 restart a pairing.
+    digest = hashlib.sha256()
+    for n in range(40):
+        for degree in range(max(min(n, 12), 1)):
+            if n * degree % 2 == 0:
+                for seed in range(8):
+                    edges = gen_regular(n, degree, seed).edges
+                    digest.update(json.dumps([n, degree, seed, edges]).encode())
+    assert digest.hexdigest() == "821635bfb4f366d0f4f4f397c5426dc4a7dcb2c9af0735baf168f9f894081d94"
 
 
 def test_regular_rejects_odd_sum():
