@@ -25,7 +25,9 @@ paths independently checkable.
 
 The walkup finds bicomp roots by union-find, not by walking external faces:
 `up` (path halving) points a child c at its tree-edge root n + c, a merged
-root at the vertex it joined, and an unmerged root at itself.  The output is
+root at parent[c], the vertex it joined (or, once halved, further up), and
+an unmerged root at itself, so it is also the one record of which roots are
+merged: halving moves only entries that already point away.  The output is
 that of a face walk, because a vertex of bicomp B is marked in a step only by
 a walk that also marks B's root, so stopping at a marked root stops where a
 face walk stops at a marked vertex.  Skip mode needs this: its unmerged
@@ -70,8 +72,6 @@ def edge_addition_run(
         were not embedded.
     """
     m = len(edges)
-    if n == 0:
-        return True, []
     if not skip_unembeddable and n >= 3 and m > 3 * n - 6:
         return False, []
 
@@ -134,7 +134,6 @@ def edge_addition_run(
     # ------------------------------------------------------------------
     ends = [NIL] * (4 * n)  # the two external-face arcs of each vertex/root
     arc_target: list[int] = []
-    merged = [False] * n
     up = list(range(2 * n))
     visited = [NIL] * (2 * n)
     be_flag = [NIL] * n
@@ -145,7 +144,7 @@ def edge_addition_run(
         """Next vertex on the external face leaving x away from entry side."""
         a = ends[2 * x + 1 - xin]
         t = arc_target[a]
-        if t >= n and merged[t - n]:
+        if t >= n and up[t] != t:  # a merged root; path halving may have moved up[t]
             t = parent[t - n]
         ta = a ^ 1
         if ends[2 * t] == ta:
@@ -163,15 +162,13 @@ def edge_addition_run(
 
     def merge_bicomp(w: int, win: int, rr: int, rout: int) -> None:
         """Merge root rr (= w^c) into w, entered at side win, left via rout."""
-        c = rr - n
-        merged[c] = True
         up[rr] = w
         q = pert_roots[w]
         if q:
             q.popleft()
-        ch = children[w]  # w is parent[c]
+        ch = children[w]  # the root of child c is n + c
         i = sep_at[w]
-        while i < len(ch) and merged[ch[i]]:
+        while i < len(ch) and up[n + ch[i]] != n + ch[i]:
             i += 1
         sep_at[w] = i
         # The walkdown left rr through its rout-side end; that side of the
