@@ -15,7 +15,7 @@ import time
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .graph import EdgeSet, Graph, connected_components, spanning_forest
+from .graph import DisjointSets, EdgeSet, Graph, spanning_forest
 from .planarity._engine import edge_addition_run
 from .planarity.api import minimal_nonplanar_subset
 from .planarity.types import NonPlanarStartError
@@ -56,20 +56,18 @@ def _witness_packing_bound(g: Graph, all_ids: list[int], deadline: float) -> int
 
 
 def _euler_rows(g: Graph) -> list[tuple[list[int], int]]:
-    """(edge ids, 3n_c - 6) per connected component on n_c >= 3 vertices
-    with more edges than a simple planar graph on n_c vertices can keep."""
-    comps = connected_components(g)
-    where = [0] * g.vertex_count
-    for i, comp in enumerate(comps):
-        for v in comp:
-            where[v] = i
-    ids: list[list[int]] = [[] for _ in comps]
+    """(edge ids, 3n_c - 6) per connected component, by least vertex, on n_c >= 3
+    vertices with more edges than a simple planar graph on them can keep."""
+    ds = DisjointSets(g.vertex_count)
+    for a, b in g.edges:
+        ds.union(a, b)
+    ids: dict[int, list[int]] = {ds.find(v): [] for v in range(g.vertex_count)}
     for e, (a, _) in enumerate(g.edges):
-        ids[where[a]].append(e)
+        ids[ds.find(a)].append(e)
     return [
-        (es, 3 * len(comp) - 6)
-        for comp, es in zip(comps, ids)
-        if len(comp) >= 3 and len(es) > 3 * len(comp) - 6
+        (es, 3 * ds.size[r] - 6)
+        for r, es in ids.items()
+        if ds.size[r] >= 3 and len(es) > 3 * ds.size[r] - 6
     ]
 
 
