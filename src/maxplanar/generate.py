@@ -58,42 +58,32 @@ def gen_regular(n: int, degree: int, seed: int) -> Graph:
     if (n * degree) % 2 != 0:
         raise GeneratorError(f"n * degree must be even (n={n}, degree={degree})")
     rng = random.Random(seed)
-    if degree == 0:
-        return Graph(n, ())
-
     while True:  # full restart on a stuck pairing
         stubs = [v for v in range(n) for _ in range(degree)]
         rng.shuffle(stubs)
         adj: list[set[int]] = [set() for _ in range(n)]
         edges: list[tuple[int, int]] = []
-        stuck = False
         while stubs:
             a = stubs.pop()
-            # draw partners until one is suitable; bail out if none can be
-            pick = None
-            for _ in range(12):
+            # Draw partners until one is suitable; after the 12th miss, check
+            # once that one is left, and give the pairing up if none is.
+            misses = 0
+            while True:
                 i = rng.randrange(len(stubs))
                 b = stubs[i]
                 if b != a and b not in adj[a]:
-                    pick = i
                     break
-            if pick is None:
-                if not any(b != a and b not in adj[a] for b in stubs):
-                    stuck = True
+                misses += 1
+                if misses == 12 and not any(c != a and c not in adj[a] for c in stubs):
                     break
-                while True:
-                    i = rng.randrange(len(stubs))
-                    b = stubs[i]
-                    if b != a and b not in adj[a]:
-                        pick = i
-                        break
-            b = stubs[pick]
-            stubs[pick] = stubs[-1]
+            if b == a or b in adj[a]:
+                break  # stuck: restart the pairing
+            stubs[i] = stubs[-1]
             stubs.pop()
             adj[a].add(b)
             adj[b].add(a)
             edges.append((a, b) if a < b else (b, a))
-        if not stuck:
+        else:  # every stub paired
             edges.sort()
             return Graph(n, tuple(edges))
 
