@@ -136,8 +136,10 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
 def _cmd_exact(args: argparse.Namespace) -> int:
     g = read_graph(args.instance)
     check_time_limit(args.time_limit_ms)  # the settings, then --out, before the search
+    check_int(args.seed, "seed", 0)
     if args.out:
         detect_format(args.out)
+        write_text(args.out, "")  # claimed, as `run` claims its --out
     if args.no_incumbent:
         result = exact_skewness(g, args.time_limit_ms)
     else:
@@ -156,8 +158,10 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 def _cmd_planarize(args: argparse.Namespace) -> int:
     g = read_graph(args.instance)
     check_int(args.restarts, "restarts", 1)  # the settings, then --out, before the work
+    check_int(args.seed, "seed", 0)
     if args.out:
         detect_format(args.out)
+        write_text(args.out, "")  # claimed, as `run` claims its --out
     sub = run_algorithm(g, args.algorithm, args.seed, args.restarts)
     planarized = insert_edges_fixed(g, sub.kept, args.seed, shuffle=(args.order == "random"))
     print(
@@ -172,6 +176,9 @@ def _cmd_planarize(args: argparse.Namespace) -> int:
 
 def _cmd_export_ilp(args: argparse.Namespace) -> int:
     g = read_graph(args.instance)
+    check_time_limit(args.time_limit_ms)  # the settings, then --out, before the search
+    check_int(args.seed, "seed", 0)
+    write_text(args.out, "")  # claimed, as `run` claims its --out
     result = exact_from_cactus_plus(g, args.seed, args.time_limit_ms)
     text = export_ilp(g, result.constraint_pool)
     write_text(args.out, text)

@@ -794,11 +794,14 @@ def test_cli_reports_unreadable_input_without_traceback(tmp_path, capsys, comman
 @pytest.mark.parametrize("command", ["exact", "planarize", "export-ilp", "run", "gen", "aggregate"])
 def test_cli_reports_unwritable_output_without_traceback(tmp_path, capsys, monkeypatch, command):
     # Each used to end in an IsADirectoryError or FileExistsError traceback;
-    # `run` only after the whole suite had run.  Now it fails before any cell.
-    def no_suite(config):
-        raise AssertionError("run_suite reached with an unwritable --out")
+    # `run` only after the whole suite had run, and `exact`, `planarize` and
+    # `export-ilp` after their search or planarization.  Now each fails
+    # before any work.
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{command} worked with an unwritable --out")
 
-    monkeypatch.setattr("maxplanar.cli.run_suite", no_suite)
+    for name in ("run_suite", "exact_from_cactus_plus", "exact_skewness", "run_algorithm"):
+        monkeypatch.setattr(f"maxplanar.cli.{name}", no_work)
     write_graph(complete_graph(5), tmp_path / "k5.el")
     k5 = str(tmp_path / "k5.el")
     if command in ("gen", "aggregate"):
@@ -820,9 +823,11 @@ def test_cli_reports_unwritable_output_without_traceback(tmp_path, capsys, monke
     else:
         argv = [command, k5, "--out", str(bad)]
     assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {bad}: cannot ")
-    assert err.count("\n") == 1 and "Traceback" not in err
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {bad}: cannot ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    if command != "aggregate":  # aggregate writes its table, then fails on --plot-dir
+        assert captured.out == ""
 
 
 def test_aggregate_and_plot_files_quote_labels(tmp_path):
