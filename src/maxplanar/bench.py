@@ -30,11 +30,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .exact import ExactResult, check_time_limit, exact_skewness
+from .exact import DEFAULT_TIME_LIMIT_MS, ExactResult, check_time_limit, exact_skewness
 from .generate import GeneratorSpec
 from .graph import Graph
 from .graphio import ascii_int, make_dir, read_graph, read_text, write_text
-from .heuristics import ALGORITHMS, cactus_plus, check_int, run_algorithm
+from .heuristics import ALGORITHMS, DEFAULT_RESTARTS, cactus_plus, check_int, run_algorithm
 from .planarize import insert_edges_fixed
 
 CSV_HEADER = "instance,set,n,m,algorithm,seed,edges_kept,density,runtime_ms,status,crossings"
@@ -67,7 +67,7 @@ class SuiteConfig:
     algorithms: tuple[str, ...]
     seeds: tuple[int, ...]
     time_limit_ms: float | None = None
-    restarts: int = 10
+    restarts: int = DEFAULT_RESTARTS
     workers: int | None = None  # None: one per CPU
 
     def __post_init__(self) -> None:
@@ -158,7 +158,7 @@ def run_cell(
         if on_size is not None:
             on_size(*size)
         if algorithm == "exact":
-            limit = time_limit_ms if time_limit_ms is not None else 60_000.0
+            limit = time_limit_ms if time_limit_ms is not None else DEFAULT_TIME_LIMIT_MS
             t0 = time.perf_counter()
             result = exact_from_cactus_plus(g, seed, limit)
             ms = (time.perf_counter() - t0) * 1000.0

@@ -28,11 +28,11 @@ from .bench import (
     read_records_csv,
     run_suite,
 )
-from .exact import check_time_limit, exact_skewness, export_ilp
+from .exact import DEFAULT_TIME_LIMIT_MS, check_time_limit, exact_skewness, export_ilp
 from .generate import GeneratorSpec
 from .graphio import (ascii_int, detect_format, make_dir, read_graph, write_graph,
                       write_subgraph, write_text)
-from .heuristics import ALGORITHMS, check_int, run_algorithm
+from .heuristics import ALGORITHMS, DEFAULT_RESTARTS, check_int, run_algorithm
 from .planarize import insert_edges_fixed
 
 
@@ -221,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of naive,bm,bm+,cactus,cactus+,exact,planarize:<algo>")
     p.add_argument("--seeds", default="0")
     p.add_argument("--time-limit-ms", type=float, default=None)
-    p.add_argument("--restarts", type=ascii_int, default=10)
+    p.add_argument("--restarts", type=ascii_int, default=DEFAULT_RESTARTS)
     p.add_argument("--workers", type=ascii_int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_run)
@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exact", help="exact skewness of one instance")
     p.add_argument("instance")
-    p.add_argument("--time-limit-ms", type=float, default=60_000.0)
+    p.add_argument("--time-limit-ms", type=float, default=DEFAULT_TIME_LIMIT_MS)
     p.add_argument("--seed", type=ascii_int, default=0)
     p.add_argument("--no-incumbent", action="store_true")
     p.add_argument("--out", default=None, help="write kept edges as .el")
@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--algorithm", choices=list(ALGORITHMS), default="cactus+")
     p.add_argument("--seed", type=ascii_int, default=0)
-    p.add_argument("--restarts", type=ascii_int, default=10)
+    p.add_argument("--restarts", type=ascii_int, default=DEFAULT_RESTARTS)
     p.add_argument("--order", choices=["random", "id"], default="random")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_planarize)

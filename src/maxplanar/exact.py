@@ -20,6 +20,8 @@ from .planarity._engine import edge_addition_run
 from .planarity.api import minimal_nonplanar_subset
 from .planarity.types import NonPlanarStartError
 
+DEFAULT_TIME_LIMIT_MS = 60_000.0  # the default search budget of `exact` and of an exact suite cell
+
 
 @dataclass
 class ExactResult:

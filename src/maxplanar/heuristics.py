@@ -25,6 +25,7 @@ from .planarity._kernel import PlanarityKernel
 from .planarity.types import NonPlanarStartError
 
 SEED_SPACE = 2**63
+DEFAULT_RESTARTS = 10  # naive's default number of growths, the best of which it keeps
 
 
 def check_int(value: int, name: str, least: int) -> None:
@@ -153,7 +154,7 @@ ALGORITHMS = ("naive", "bm", "bm+", "cactus", "cactus+")
 
 
 def run_algorithm(
-    g: Graph, name: str, seed: int, restarts: int = 10
+    g: Graph, name: str, seed: int, restarts: int = DEFAULT_RESTARTS
 ) -> SubgraphResult:
     """Run and time the heuristic labelled `name`.
 
