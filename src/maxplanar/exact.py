@@ -148,13 +148,10 @@ def exact_skewness(
         branchable = sorted(witness - fixed)
         if not branchable:
             continue  # witness forced intact: no planar completion below
-        children = []
-        fixed_acc = fixed
-        for eid in branchable:
-            children.append((removed | {eid}, fixed_acc))
-            fixed_acc = fixed_acc | {eid}
-        for child in reversed(children):  # pop order == edge-id order
-            stack.append(child)
+        # Child i removes branchable[i] and fixes the earlier ones in; pushed
+        # last first, so that the children pop in edge-id order.
+        for i in range(len(branchable) - 1, -1, -1):
+            stack.append((removed | {branchable[i]}, fixed.union(branchable[:i])))
 
     if best_removed is None:
         # No incumbent and the search never reached a planar node: only

@@ -268,18 +268,15 @@ def edge_addition_run(
                         y, yin = ext_succ(rr, 0)
                         while not (be_flag[y] == v or pert_roots[y] or ext_active(y, v)):
                             y, yin = ext_succ(y, yin)
-                        xi = not ext_active(x, v)
-                        yi = not ext_active(y, v)
-                        if xi:
+                        # An internally active side first, then a pertinent one.
+                        if not ext_active(x, v):
                             nw, nwin, rout = x, xin, 0
-                        elif yi:
+                        elif not ext_active(y, v):
                             nw, nwin, rout = y, yin, 1
                         elif be_flag[x] == v or pert_roots[x]:
                             nw, nwin, rout = x, xin, 0
-                        elif be_flag[y] == v or pert_roots[y]:
+                        else:  # y is pertinent; if neither is, the walk stops either way
                             nw, nwin, rout = y, yin, 1
-                        else:
-                            nw, nwin, rout = x, xin, 0
                         stack_m.append((w, win, rr, rout))
                         w, win = nw, nwin
                     elif not ext_active(w, v):

@@ -23,6 +23,7 @@ route exactly like a fresh trace.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -50,10 +51,7 @@ class PlanarizedGraph:
         n = self.original_vertex_count
         out: list[tuple[int, int]] = []
         for orig in sorted(groups):
-            deg: dict[int, int] = {}
-            for a, b in groups[orig]:
-                deg[a] = deg.get(a, 0) + 1
-                deg[b] = deg.get(b, 0) + 1
+            deg = Counter(v for edge in groups[orig] for v in edge)
             ends = sorted(v for v, d in deg.items() if d == 1)
             if len(ends) != 2 or ends[0] >= n or ends[1] >= n:
                 raise AssertionError(f"origin {orig} does not contract to an edge")
