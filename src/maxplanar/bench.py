@@ -3,12 +3,14 @@ wall-clock timeouts, aggregate relative-to-best statistics, emit CSV and
 plot-ready series files.
 
 Each cell runs in a worker process forked for it alone, so that a kill
-deadline can terminate it and its peak memory is its own.  The worker
-writes the instance size, then its record, down a pipe; the parent polls
-the pipes, where EOF without a record means that the worker died.  Records
-are sorted, so the output does not depend on scheduling.  Runtime is
-measured around the algorithm call inside the worker, excluding instance
-parsing or generation.
+deadline can terminate it and its peak memory is its own.  The worker first
+freezes the heap it inherits, since a collection that walked it would copy
+its pages, and the cell's time would depend on what the parent allocated.
+It then writes the instance size, then its record, down a pipe; the parent
+polls the pipes, where EOF without a record means that the worker died.
+Records are sorted, so the output does not depend on scheduling.  Runtime
+is measured around the algorithm call inside the worker, excluding
+instance parsing or generation.
 """
 
 from __future__ import annotations
@@ -182,10 +184,7 @@ def run_cell(
 def _run_worker(write_fd: int, *args) -> None:
     """Run one cell in a forked worker: write the cell's size (n, m), then its
     record, each pickled in one write, and leave by os._exit whatever happens."""
-    # A collection here would walk the heap inherited from the parent and
-    # write to it, copying its pages: the cell's time would then depend on
-    # what the parent allocated before the fork.  Frozen objects are skipped.
-    gc.freeze()
+    gc.freeze()  # a collection then skips the inherited heap and copies none of its pages
     try:
         def send(msg) -> None:  # a record is far below PIPE_BUF, so one write is whole
             os.write(write_fd, pickle.dumps(msg))
