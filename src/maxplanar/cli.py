@@ -30,8 +30,8 @@ from .bench import (
 )
 from .exact import DEFAULT_TIME_LIMIT_MS, check_time_limit, exact_skewness, export_ilp
 from .generate import GeneratorSpec
-from .graphio import (ascii_int, detect_format, make_dir, read_graph, write_graph,
-                      write_subgraph, write_text)
+from .graphio import (ascii_int, claim_output, detect_format, make_dir, read_graph,
+                      write_graph, write_subgraph, write_text)
 from .heuristics import ALGORITHMS, DEFAULT_RESTARTS, check_int, run_algorithm
 from .planarize import insert_edges_fixed
 
@@ -114,7 +114,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     if not config.algorithms:
         raise ValueError(f"no algorithms in {args.algorithms!r}")
-    emit_records_csv([], args.out)  # an unwritable path fails before any cell runs
+    claim_output(args.out)  # an unwritable path fails before any cell runs
     records = run_suite(config)
     emit_records_csv(records, args.out)
     bad = sum(1 for r in records if r.status != "ok")
@@ -125,6 +125,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_aggregate(args: argparse.Namespace) -> int:
     records = read_records_csv(args.records)
     rows = aggregate(records, grouping=args.grouping, metric=args.metric)
+    if args.plot_dir:  # both outputs before writing either
+        make_dir(args.plot_dir)
+    claim_output(args.out)
     emit_aggregate_csv(rows, args.out)
     print(f"{len(rows)} aggregate rows -> {args.out}")
     if args.plot_dir:
@@ -139,7 +142,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     check_int(args.seed, "seed", 0)
     if args.out:
         detect_format(args.out)
-        write_text(args.out, "")  # claimed, as `run` claims its --out
+        claim_output(args.out)
     if args.no_incumbent:
         result = exact_skewness(g, args.time_limit_ms)
     else:
@@ -161,7 +164,7 @@ def _cmd_planarize(args: argparse.Namespace) -> int:
     check_int(args.seed, "seed", 0)
     if args.out:
         detect_format(args.out)
-        write_text(args.out, "")  # claimed, as `run` claims its --out
+        claim_output(args.out)
     sub = run_algorithm(g, args.algorithm, args.seed, args.restarts)
     planarized = insert_edges_fixed(g, sub.kept, args.seed, shuffle=(args.order == "random"))
     print(
@@ -178,7 +181,7 @@ def _cmd_export_ilp(args: argparse.Namespace) -> int:
     g = read_graph(args.instance)
     check_time_limit(args.time_limit_ms)  # the settings, then --out, before the search
     check_int(args.seed, "seed", 0)
-    write_text(args.out, "")  # claimed, as `run` claims its --out
+    claim_output(args.out)
     result = exact_from_cactus_plus(g, args.seed, args.time_limit_ms)
     text = export_ilp(g, result.constraint_pool)
     write_text(args.out, text)

@@ -3,10 +3,11 @@
 Two formats:
   * edge_list (.el): first line is the vertex count, then one "u v" pair per
     line, 0-indexed.  Writing then reading is byte-exact.
-  * gml_subset (.gml): graph [ node [ id ... ] edge [ source ... target ... ] ]
-    blocks; ids may be arbitrary integers and are mapped to 0..n-1 in file
-    order.  Other keys, quoted strings and nested [ ... ] lists inside node
-    and edge blocks are skipped.
+  * gml_subset (.gml): one top-level graph [ ... ] list, whose own
+    node [ id ... ] and edge [ source ... target ... ] lists make the graph;
+    ids may be arbitrary integers and are mapped to 0..n-1 in file order.
+    Other keys at any level (yEd's Creator, a node's label), quoted strings
+    and nested [ ... ] lists are skipped, node and edge lists inside them too.
 
 Loops, parallel edges and a repeated node id, edge source or edge target are
 parse errors (with the offending line), never silently simplified.  A file
@@ -53,6 +54,14 @@ def write_text(path: str | Path, text: str) -> None:
     as they came; failure raises ValueError naming the path."""
     try:
         Path(path).write_text(text, encoding="utf-8", errors="surrogateescape")
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot write: {exc.strerror or exc}") from exc
+
+
+def claim_output(path: str | Path) -> None:
+    """Refuse an unwritable `path` up front; opened for append, a file keeps its bytes."""
+    try:
+        Path(path).open("ab").close()
     except OSError as exc:
         raise ValueError(f"{path}: cannot write: {exc.strerror or exc}") from exc
 
@@ -144,91 +153,70 @@ def _read_gml(path: str | Path) -> Graph:
             raise ParseError(path, line, "unterminated string")
         tokens.append((m.group(), line))
 
-    ids_in_order: list[int] = []
+    # The file as a tree: each list holds (lowercased key, value, line), a
+    # value being a token or a nested list.  A stack of open lists rather
+    # than recursion, so no depth of nesting raises RecursionError.
+    stack: list[list] = [[]]  # the top level first
+    pairs = iter(tokens)
+    for key, line in pairs:
+        if key == "]" and len(stack) > 1:
+            stack.pop()
+        elif key in ("[", "]"):
+            raise ParseError(path, line, f"unexpected {key!r}")
+        else:
+            value, at = next(pairs, ("]", line))
+            if value == "]":
+                raise ParseError(path, line, f"key {key!r} has no value")
+            if value == "[":
+                stack.append([])
+                stack[-2].append((key.lower(), stack[-1], line))
+            else:
+                stack[-1].append((key.lower(), value, at))
+    if len(stack) > 1:
+        raise ParseError(path, tokens[-1][1], "unclosed [ list")
+
+    graphs = [entry for entry in stack[0] if entry[0] == "graph"]
+    if len(graphs) != 1 or isinstance(graphs[0][1], str):
+        raise ParseError(path, graphs[-1][2] if graphs else 1, "expected one graph [ ... ] list")
     id_to_index: dict[int, int] = {}
     edges: list[tuple[int, int]] = []
-    seen: dict[tuple[int, int], int] = {}
-
-    def read_int(values: dict[str, list[int]], key: str, what: str) -> int | None:
-        if key not in values:
-            return None
-        first, *again = values[key]
-        if again:
-            raise ParseError(path, tokens[again[0]][1], f"repeated {what}")
-        tok, line = tokens[first]
-        try:
-            return ascii_int(tok)
-        except ValueError:
-            raise ParseError(path, line, f"expected integer {what}, got {tok!r}")
-
-    i = 0
-    while i < len(tokens):
-        tok, line = tokens[i]
-        low = tok.lower()
-        if low == "node":
-            values, i = _read_block(path, tokens, _expect(path, tokens, i + 1, "["))
-            node_id = read_int(values, "id", "node id")
-            if node_id is None:
-                raise ParseError(path, line, "node block without id")
+    seen: set[tuple[int, int]] = set()
+    for kind, block, line in graphs[0][1]:
+        if kind not in ("node", "edge"):
+            continue
+        if not isinstance(block, list):
+            raise ParseError(path, line, f"expected '[' after {kind!r}")
+        if kind == "node":
+            node_id = _gml_int(path, block, line, "id")
             if node_id in id_to_index:
                 raise ParseError(path, line, f"duplicate node id {node_id}")
-            id_to_index[node_id] = len(ids_in_order)
-            ids_in_order.append(node_id)
-        elif low == "edge":
-            values, i = _read_block(path, tokens, _expect(path, tokens, i + 1, "["))
-            src = read_int(values, "source", "edge source")
-            tgt = read_int(values, "target", "edge target")
-            if src is None or tgt is None:
-                raise ParseError(path, line, "edge block needs source and target")
-            if src not in id_to_index or tgt not in id_to_index:
-                raise ParseError(path, line, f"edge references unknown node ({src}, {tgt})")
-            a, b = id_to_index[src], id_to_index[tgt]
-            if a == b:
-                raise ParseError(path, line, f"self-loop at node id {src}")
-            key2 = (a, b) if a < b else (b, a)
-            if key2 in seen:
-                raise ParseError(path, line, f"duplicate edge between ids {src} and {tgt}")
-            seen[key2] = line
-            edges.append((a, b))
-        else:
-            i += 1
-    return Graph(len(ids_in_order), tuple(edges))
+            id_to_index[node_id] = len(id_to_index)
+            continue
+        src, tgt = (_gml_int(path, block, line, key) for key in ("source", "target"))
+        if src not in id_to_index or tgt not in id_to_index:
+            raise ParseError(path, line, f"edge references unknown node ({src}, {tgt})")
+        a, b = id_to_index[src], id_to_index[tgt]
+        if a == b:
+            raise ParseError(path, line, f"self-loop at node id {src}")
+        pair = (a, b) if a < b else (b, a)
+        if pair in seen:
+            raise ParseError(path, line, f"duplicate edge between ids {src} and {tgt}")
+        seen.add(pair)
+        edges.append((a, b))
+    return Graph(len(id_to_index), tuple(edges))
 
 
-def _read_block(
-    path: str | Path, tokens: list[tuple[str, int]], i: int
-) -> tuple[dict[str, list[int]], int]:
-    """Key/value pairs of the block whose body starts at token i.
-
-    Returns {lowercased key: token indices of its values, in file order} for
-    the block's own scalar values (nested [ ... ] lists are skipped), and the
-    index after the closing bracket.
-    """
-    values: dict[str, list[int]] = {}
-    while i < len(tokens) and tokens[i][0] != "]":
-        key = tokens[i][0]
-        if i + 1 >= len(tokens) or tokens[i + 1][0] == "]":
-            raise ParseError(path, tokens[i][1], f"key {key!r} has no value")
-        if tokens[i + 1][0] == "[":
-            depth, i = 1, i + 2
-            while i < len(tokens) and depth:
-                depth += {"[": 1, "]": -1}.get(tokens[i][0], 0)
-                i += 1
-            if depth:
-                break
-        else:
-            values.setdefault(key.lower(), []).append(i + 1)
-            i += 2
-    if i >= len(tokens):
-        raise ParseError(path, tokens[-1][1], "unclosed [ block")
-    return values, i + 1
-
-
-def _expect(path: str | Path, tokens: list[tuple[str, int]], i: int, want: str) -> int:
-    if i >= len(tokens) or tokens[i][0] != want:
-        line = tokens[min(i, len(tokens) - 1)][1]
-        raise ParseError(path, line, f"expected {want!r}")
-    return i + 1
+def _gml_int(path: str | Path, block: list, line: int, key: str) -> int:
+    """The one integer value of `key` in the node or edge list `block`, whose key is at `line`."""
+    values = [(value, at) for k, value, at in block if k == key and isinstance(value, str)]
+    if not values:
+        raise ParseError(path, line, f"missing {key!r}")
+    if len(values) > 1:
+        raise ParseError(path, values[1][1], f"repeated {key!r}")
+    try:
+        return ascii_int(values[0][0])
+    except ValueError as exc:
+        raise ParseError(path, values[0][1], f"{key!r}: {exc}")
 
 
 def write_graph(g: Graph, path: str | Path) -> None:

@@ -826,8 +826,30 @@ def test_cli_reports_unwritable_output_without_traceback(tmp_path, capsys, monke
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {bad}: cannot ")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
-    if command != "aggregate":  # aggregate writes its table, then fails on --plot-dir
-        assert captured.out == ""
+    assert captured.out == ""
+    assert not (tmp_path / "agg.csv").exists()  # aggregate used to write it, then fail
+
+
+@pytest.mark.parametrize("command", ["run", "exact", "planarize", "export-ilp"])
+def test_cli_failed_work_keeps_an_existing_output(tmp_path, capsys, monkeypatch, command):
+    # Claiming --out used to truncate it, so a run that failed or was
+    # interrupted mid-work destroyed the previous result.
+    def failing_work(*args, **kwargs):
+        raise ValueError("the work failed")
+
+    for name in ("run_suite", "exact_from_cactus_plus", "run_algorithm"):
+        monkeypatch.setattr(f"maxplanar.cli.{name}", failing_work)
+    write_graph(complete_graph(5), tmp_path / "k5.el")
+    k5 = str(tmp_path / "k5.el")
+    out = tmp_path / {"run": "prev.csv", "export-ilp": "prev.lp"}.get(command, "prev.el")
+    out.write_bytes(b"previous result\n")
+    if command == "run":
+        argv = ["run", "--instances", k5, "--algorithms", "bm", "--workers", "1"]
+    else:
+        argv = [command, k5]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: the work failed\n"
+    assert out.read_bytes() == b"previous result\n"
 
 
 def test_aggregate_and_plot_files_quote_labels(tmp_path):

@@ -52,6 +52,19 @@ def test_edge_list_loop_rejected_with_line(tmp_path):
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize("body, line, message", [
+    ("3 4\n0 1\n", 1, "expected a single vertex count"),
+    ("-1\n", 1, "vertex count must be nonnegative"),
+    ("3\n0 1\n0 1 2\n", 3, "expected 'u v', got '0 1 2'"),
+    ("3\n0 1\n1 3\n", 3, "endpoint out of range in '1 3'"),
+], ids=["two-token-count", "negative-count", "three-token-edge", "endpoint-out-of-range"])
+def test_edge_list_malformed_line_named(tmp_path, body, line, message):
+    p = tmp_path / "bad.el"
+    p.write_text(body)
+    with pytest.raises(ParseError, match=rf"bad\.el:{line}: {re.escape(message)}$"):
+        read_graph(p)
+
+
 def test_edge_list_bad_token(tmp_path):
     p = tmp_path / "bad.el"
     p.write_text("3\n0 x\n")
@@ -112,9 +125,13 @@ def test_gml_arbitrary_ids(tmp_path):
 
 
 def test_gml_skips_nested_blocks_and_strings(tmp_path):
+    # The node and edge inside `graphics` used to be read as the graph's own,
+    # and `label node` was refused as a node without its list.
     p = tmp_path / "g.gml"
     p.write_text(
-        'graph [\n directed 0\n'
+        'Creator "yEd" Version 2.2\n'
+        'graph [\n directed 0 label node\n'
+        ' graphics [ node [ id 7 ] edge [ source 4 target 7 ] ]\n'
         ' node [ id 4 label "a ] [ id 9" graphics [ x 1.0 y 2.0 ] ]\n'
         ' node [ id 5 data [ id 8 inner [ w 1 ] ] label "target 4" ]\n'
         ' node [ id 6 ]\n'
@@ -126,27 +143,47 @@ def test_gml_skips_nested_blocks_and_strings(tmp_path):
     assert g.edges == ((0, 1), (1, 2))
 
 
+G = "graph [\n"
 THREE_NODES = " node [ id 0 ]\n node [ id 1 ]\n node [ id 2 ]\n"
 
 
 @pytest.mark.parametrize(
-    "body, line",
+    "text, line, message",
     [
-        (' node [ id 0 label "open ]\n', 2),  # unterminated string
-        (" node [ id 0 graphics [ x 1 ]\n", 2),  # unclosed node block
-        (" node [ id 0 ]\n node [ id 1 ]\n edge [ source 0 target ]\n", 4),
+        (G + ' node [ id 0 label "open ]\n]\n', 2, "unterminated string"),
+        (G + " node [ id 0 graphics [ x 1 ]\n", 2, "unclosed [ list"),  # the only unclosed case
+        (G + " node [ id 0 ]\n node [ id 1 ]\n edge [ source 0 target ]\n]\n", 4,
+         "key 'target' has no value"),
         # A repeated id, source or target used to keep its last value silently.
-        (" node [ id 0\n id 1 ]\n", 3),
-        (THREE_NODES + " edge [ source 1 target 2\n target 0 ]\n", 6),
-        (THREE_NODES + " edge [ source 1 target 2\n  SOURCE 0 ]\n", 6),
+        (G + " node [ id 0\n id 1 ]\n]\n", 3, "repeated 'id'"),
+        (G + THREE_NODES + " edge [ source 1 target 2\n target 0 ]\n]\n", 6, "repeated 'target'"),
+        (G + THREE_NODES + " edge [ source 1 target 2\n  SOURCE 0 ]\n]\n", 6, "repeated 'source'"),
+        (G + ' node [ label "a" ]\n]\n', 2, "missing 'id'"),
+        (G + " node [ id 0 ]\n node [ id 0 ]\n]\n", 3, "duplicate node id 0"),
+        (G + " node [ id 0 ]\n node [ id 1 ]\n edge [ source 0 ]\n]\n", 4, "missing 'target'"),
+        (G + THREE_NODES + " edge [ source 0 target 3 ]\n]\n", 5,
+         "edge references unknown node (0, 3)"),
+        (G + THREE_NODES + " edge [ source 1 target 1 ]\n]\n", 5, "self-loop at node id 1"),
+        (G + " node [ id 0 ]\n node [ id 1 ]\n]\n" + G + " node [ id 2 ]\n]\n", 5,
+         "expected one graph [ ... ] list"),
+        (" node [ id 0 ]\n node [ id 1 ]\n edge [ source 0 target 1 ]\n", 1,
+         "expected one graph [ ... ] list"),
+        (G + " node [ id 0 ]\n]\n]\n", 4, "unexpected ']'"),
+        ("", 1, "expected one graph [ ... ] list"),
+        (G + " [ id 0 ]\n]\n", 2, "unexpected '['"),
     ],
     ids=["unterminated-string", "unclosed-block", "key-without-value",
-         "repeated-node-id", "repeated-edge-target", "repeated-edge-source"],
+         "repeated-node-id", "repeated-edge-target", "repeated-edge-source",
+         "node-without-id", "duplicate-node-id", "edge-without-target", "unknown-node",
+         "self-loop", "two-graph-lists", "no-graph-list", "unexpected-close", "empty-file",
+         "list-without-key"],
 )
-def test_gml_malformed_blocks_rejected(tmp_path, body, line):
+def test_gml_malformed_blocks_rejected(tmp_path, text, line, message):
+    # Before, two graph lists were merged, node and edge lists outside any
+    # graph list were read, and a stray ']' or an empty file passed.
     p = tmp_path / "g.gml"
-    p.write_text("graph [\n" + body)
-    with pytest.raises(ParseError, match=rf"g\.gml:{line}: "):
+    p.write_text(text)
+    with pytest.raises(ParseError, match=rf"g\.gml:{line}: {re.escape(message)}"):
         read_graph(p)
 
 
@@ -205,6 +242,30 @@ def test_round_trip_property(data):
         text = path.read_text()
         write_graph(back, path)
         assert path.read_text() == text
+
+
+@given(st.data())
+@settings(max_examples=50, deadline=None)
+def test_gml_round_trip_through_ignorable_content(data):
+    # Other top-level and graph-level keys, a graph-level list holding a node
+    # and an edge of its own, and nested lists and strings inside node and
+    # edge lists are all skipped.
+    import tempfile
+
+    rng = random.Random(data.draw(st.integers(0, 2**30)))
+    n = data.draw(st.integers(0, 12))
+    m = data.draw(st.integers(0, n * (n - 1) // 2 if n > 1 else 0))
+    g = random_graph(n, m, rng) if n else Graph(0, ())
+    lines = ['Creator "x"', "graph [", " directed 0", ' label "graph [ node"']
+    lines.append(f" graphics [ node [ id {n} ] edge [ source 0 target {n} ] w 1 ]")
+    lines += [f' node [ id {v} label "id {n}" data [ id {n} ] ]' for v in range(n)]
+    lines += [f" edge [ source {a} graphics [ target {n} ] label \"x\" target {b} ]"
+              for a, b in g.edges]
+    lines.append("]")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.gml"
+        path.write_text("\n".join(lines) + "\n")
+        assert read_graph(path) == g
 
 
 def test_read_text_names_path_and_offset_of_a_byte_not_utf8(tmp_path):
