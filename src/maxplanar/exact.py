@@ -94,8 +94,10 @@ def exact_skewness(
     expansion time, so a better starting incumbent never explores more nodes.
     A non-planar node with |R| + 1 >= incumbent is pruned before its witness
     is extracted: every child removes one more edge and could only tie.
-    The search stops once the incumbent meets the lower bound, the larger of
-    Euler's bound per component and a greedy witness packing.
+    The search runs while the incumbent exceeds the lower bound, the larger
+    of Euler's bound per component and a greedy witness packing, and stops
+    early only at the deadline (`timeout-incumbent`); with no incumbent by
+    then, a spanning forest is returned.
     """
     check_time_limit(time_limit_ms)
     m = len(g.edges)
@@ -123,9 +125,7 @@ def exact_skewness(
     status = "optimal"
     # Stack entries: (removed frozenset, fixed-in frozenset).
     stack: list[tuple[frozenset[int], frozenset[int]]] = [(frozenset(), frozenset())]
-    while stack:
-        if best_skew <= lower_bound:
-            break
+    while stack and best_skew > lower_bound:
         if time.monotonic() > deadline:
             status = "timeout-incumbent"
             break
@@ -154,11 +154,9 @@ def exact_skewness(
             stack.append((removed | {branchable[i]}, fixed.union(branchable[:i])))
 
     if best_removed is None:
-        # No incumbent and the search never reached a planar node: only
-        # possible when the time limit is hit first.  A forest is planar.
+        # The deadline came before any planar node (the loop set the status).
         best_removed = frozenset(all_ids) - spanning_forest(g)
         best_skew = len(best_removed)
-        status = "timeout-incumbent"
     kept = frozenset(all_ids) - best_removed
     return ExactResult(
         optimal_kept=kept,

@@ -40,9 +40,10 @@ def detect_format(path: str | Path) -> str:
 
 
 def read_text(path: str | Path) -> str:
-    """`path` read as UTF-8; a path that cannot be read or decoded raises ValueError naming it."""
+    """`path` read as UTF-8 without a leading byte-order mark; a path that
+    cannot be read or decoded raises ValueError naming it."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise ValueError(f"{path}: cannot read: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
@@ -59,9 +60,14 @@ def write_text(path: str | Path, text: str) -> None:
 
 
 def claim_output(path: str | Path) -> None:
-    """Refuse an unwritable `path` up front; opened for append, a file keeps its bytes."""
+    """Refuse an unwritable `path` up front and leave it as it was: a file
+    there keeps its bytes (opened for append), and a new one is removed."""
     try:
-        Path(path).open("ab").close()
+        try:
+            Path(path).open("xb").close()
+            Path(path).unlink()
+        except FileExistsError:
+            Path(path).open("ab").close()
     except OSError as exc:
         raise ValueError(f"{path}: cannot write: {exc.strerror or exc}") from exc
 

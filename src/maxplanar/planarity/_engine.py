@@ -7,7 +7,7 @@ embedded by walking down the external faces of the pertinent components,
 merging them as it goes.
 
 Two modes:
-  * strict: abort as soon as one backedge cannot be embedded (planarity test);
+  * strict: return False at the first failure (planarity test);
   * skip:   record the unembeddable backedge, keep going, and return the edge
             ids that were left out -- the embedded rest is a planar spanning
             subgraph of the input.
@@ -238,7 +238,6 @@ def edge_addition_run(
         # Walkdown from each pertinent root copy of v.
         for c0 in step_pert_children:
             r = n + c0
-            blocked = False
             for i in (0, 1):
                 stack_m: list[tuple[int, int, int, int]] = []
                 w, win = ext_succ(r, 1 - i)
@@ -268,49 +267,40 @@ def edge_addition_run(
                         y, yin = ext_succ(rr, 0)
                         while not (be_flag[y] == v or pert_roots[y] or ext_active(y, v)):
                             y, yin = ext_succ(y, yin)
-                        # An internally active side first, then a pertinent one.
-                        if not ext_active(x, v):
-                            nw, nwin, rout = x, xin, 0
-                        elif not ext_active(y, v):
-                            nw, nwin, rout = y, yin, 1
-                        elif be_flag[x] == v or pert_roots[x]:
-                            nw, nwin, rout = x, xin, 0
-                        else:  # y is pertinent; if neither is, the walk stops either way
-                            nw, nwin, rout = y, yin, 1
-                        stack_m.append((w, win, rr, rout))
-                        w, win = nw, nwin
+                        # An internally active side first, then a pertinent
+                        # one; if neither is, the walk stops either way.
+                        if not ext_active(x, v) or (
+                            ext_active(y, v) and (be_flag[x] == v or pert_roots[x])
+                        ):
+                            stack_m.append((w, win, rr, 0))
+                            w, win = x, xin
+                        else:
+                            stack_m.append((w, win, rr, 1))
+                            w, win = y, yin
                     elif not ext_active(w, v):
                         w, win = ext_succ(w, win)
                     else:
                         break
                 if stack_m and not skip_unembeddable:
-                    # Blocked descent: pertinence below is unreachable from
-                    # this side.  A planarity run can stop here; the skip run
-                    # still tries the other direction.
-                    blocked = True
-                    break
+                    # Blocked descent: both sides of a pertinent root stop at
+                    # a vertex that is externally active and not pertinent, so
+                    # the input is not planar (Boyer-Myrvold).  Skip runs go on.
+                    return False, []
                 if ends[2 * r] == ends[2 * r + 1]:
                     # Nothing embedded, so nothing changed: the other
                     # direction starts at the same (c0, 0) and replays this.
                     break
-            if blocked:
-                break
 
         # Step end: account for unembedded backedges, drop stale pertinence.
-        failed = False
+        # A backedge's flag keeps this step's v, which no later step matches.
         for w0, eid in backs:
             if be_flag[w0] == v:
-                if skip_unembeddable:
-                    skipped.append(eid)
-                    be_flag[w0] = NIL
-                else:
-                    failed = True
-                    break
+                if not skip_unembeddable:
+                    return False, []
+                skipped.append(eid)
         for u in touched:
             q = pert_roots[u]
             if q:
                 q.clear()
-        if failed:
-            return False, []
 
     return True, skipped

@@ -13,11 +13,12 @@ import statistics
 import time
 
 from conftest import complete_bipartite, complete_graph, petersen, random_graph, spanning_subgraph
-from maxplanar.bench import InstanceRef, SuiteConfig, emit_records_csv, run_suite
+from maxplanar.bench import (InstanceRef, SuiteConfig, emit_records_csv, exact_from_cactus_plus,
+                             run_suite)
 from maxplanar.exact import exact_skewness
 from maxplanar.generate import GeneratorSpec, gen_regular
 from maxplanar.graph import Graph, connected_components
-from maxplanar.heuristics import cactus_plus, run_algorithm
+from maxplanar.heuristics import ALGORITHMS, cactus_plus, run_algorithm
 from maxplanar.planarity import extract_kuratowski, is_planar, witness_is_valid
 from maxplanar.planarize import insert_edges_fixed
 from oracles import planar_oracle, skewness_oracle
@@ -314,4 +315,33 @@ def test_criterion_9_suite_determinism(tmp_path):
     assert first == second
     _report(
         "PASS criterion 9: identical suite CSV (modulo runtime column) across reruns"
+    )
+
+
+def test_gap_to_optimum_on_small_sparse_instances():
+    """Scale-free d=2 at n=20 and 30, regular d=2 at n=12 and 16: on every
+    instance exact closes in 5 s, no label keeps more than the optimum and
+    cactus keeps at least 7/18 of it (the greedy triangular structure's
+    guarantee, Calinescu, Fernandes, Finkler and Karloff, J. Algorithms 1998)."""
+    grid = [("scale_free", 20, 12), ("scale_free", 30, 8), ("regular", 12, 8), ("regular", 16, 6)]
+    ratios: dict[str, list[float]] = {algo: [] for algo in ALGORITHMS}
+    for family, n, seeds in grid:
+        for seed in range(seeds):
+            g = GeneratorSpec(family, n, 2, seed).build()
+            r = exact_from_cactus_plus(g, seed, 5000)
+            if r.status != "optimal":
+                continue
+            opt = len(r.optimal_kept)
+            for algo in ALGORITHMS:
+                kept = len(run_algorithm(g, algo, seed).kept)
+                name = f"{family} n={n} seed {seed} {algo}"
+                assert kept <= opt, f"{name} kept {kept} > optimum {opt}"
+                if algo == "cactus":
+                    assert 18 * kept >= 7 * opt, f"{name} kept {kept} < 7/18 of {opt}"
+                ratios[algo].append(kept / opt)
+    closed = len(ratios["cactus"])
+    assert closed >= 17, f"exact closed only {closed} of 34 instances"
+    _report(
+        f"PASS gap to optimum: mean kept/OPT on the {closed} of 34 instances exact closed: "
+        + " ".join(f"{a}={statistics.mean(v):.3f}" for a, v in ratios.items())
     )

@@ -830,10 +830,15 @@ def test_cli_reports_unwritable_output_without_traceback(tmp_path, capsys, monke
     assert not (tmp_path / "agg.csv").exists()  # aggregate used to write it, then fail
 
 
-@pytest.mark.parametrize("command", ["run", "exact", "planarize", "export-ilp"])
-def test_cli_failed_work_keeps_an_existing_output(tmp_path, capsys, monkeypatch, command):
+@pytest.mark.parametrize("command, existing", [
+    pytest.param(command, existing, id=command if existing else f"{command}-new")
+    for command in ("run", "exact", "planarize", "export-ilp") for existing in (True, False)
+])
+def test_cli_failed_work_keeps_an_existing_output(tmp_path, capsys, monkeypatch, command,
+                                                   existing):
     # Claiming --out used to truncate it, so a run that failed or was
-    # interrupted mid-work destroyed the previous result.
+    # interrupted mid-work destroyed the previous result; a new path was
+    # left as an empty file, which does not read back as a graph.
     def failing_work(*args, **kwargs):
         raise ValueError("the work failed")
 
@@ -842,14 +847,18 @@ def test_cli_failed_work_keeps_an_existing_output(tmp_path, capsys, monkeypatch,
     write_graph(complete_graph(5), tmp_path / "k5.el")
     k5 = str(tmp_path / "k5.el")
     out = tmp_path / {"run": "prev.csv", "export-ilp": "prev.lp"}.get(command, "prev.el")
-    out.write_bytes(b"previous result\n")
+    if existing:
+        out.write_bytes(b"previous result\n")
     if command == "run":
         argv = ["run", "--instances", k5, "--algorithms", "bm", "--workers", "1"]
     else:
         argv = [command, k5]
     assert main(argv + ["--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: the work failed\n"
-    assert out.read_bytes() == b"previous result\n"
+    if existing:
+        assert out.read_bytes() == b"previous result\n"
+    else:
+        assert not out.exists()
 
 
 def test_aggregate_and_plot_files_quote_labels(tmp_path):

@@ -277,6 +277,26 @@ def test_read_text_names_path_and_offset_of_a_byte_not_utf8(tmp_path):
         read_graph(p)
 
 
+@pytest.mark.parametrize("suffix", [".el", ".gml", ".csv"])
+def test_leading_byte_order_mark_reads_as_without(tmp_path, suffix):
+    # A marked edge list used to fail with "bad vertex count '\ufeff3'".
+    def read(path):
+        return read_records_csv(path) if suffix == ".csv" else read_graph(path)
+
+    plain, marked = tmp_path / f"plain{suffix}", tmp_path / f"marked{suffix}"
+    if suffix == ".csv":
+        emit_records_csv([BenchmarkRecord("i", "s", 5, 10, "bm", 0, 9, 1.8, 0.1, "ok")], plain)
+    else:
+        write_graph(Graph(4, ((0, 1), (1, 2), (2, 3))), plain)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert read(marked) == read(plain)
+    # A byte that is not UTF-8 is still placed from the first byte, mark included.
+    offset = len(marked.read_bytes())
+    marked.write_bytes(marked.read_bytes() + b"\xff\n")
+    with pytest.raises(ValueError, match=rf"not UTF-8 text at byte offset {offset}$"):
+        read(marked)
+
+
 def test_files_are_utf8_whatever_the_locale(tmp_path):
     # Under the C locale Python's default text encoding is ASCII; files must
     # still be read and written as UTF-8, and a bad byte named on one line.
